@@ -13,9 +13,12 @@ metric by name and unit. Its last line is one JSON object with `correct`,
 `attempted`, `failed` and `metrics`: the end-to-end metrics with
 `--trace 0`, the per-layer metrics of a traced run with `--trace 1`.
 
-`setup_s` is the median over SETUP_SAMPLES process starts of the time from
-spawning the workload process to its first operation (interpreter start,
-`import fairline`, building the inputs).
+`throughput_ops_s` and `latency_p50_ms` come from the operations' times at
+the reference speed (`speed.py`): each step's wall time scaled by how fast
+the machine ran a fixed kernel around it. `setup_s` is the median over
+SETUP_SAMPLES process starts of the wall time from spawning the workload
+process to its first operation (interpreter start, `import fairline`,
+building the inputs).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ ROOT = BENCH.parent
 sys.path.insert(0, str(BENCH))
 
 import checks  # noqa: E402
+import speed  # noqa: E402
 import workloads as W  # noqa: E402
 from tracing import LAYER_METRICS  # noqa: E402
 
@@ -98,10 +102,13 @@ def run_workload(workload: str, seed: int, seconds: int, trace: int) -> tuple[di
     """One measured run; returns (the result object, the raw worker report)."""
     setups = []
     if not trace:
-        for _ in range(SETUP_SAMPLES - 1):
+        for _ in range(SETUP_SAMPLES):
             setups.append(_spawn(workload, seed, seconds, 0, setup_only=True)[0])
-    setup_s, report, operations = _spawn(workload, seed, seconds, trace, setup_only=False)
-    setups.append(setup_s)
+    _, report, operations = _spawn(workload, seed, seconds, trace, setup_only=False)
+    wall_ms, scaled_ms = speed.op_times(report)
+    if not wall_ms:
+        raise BenchError(f"no {workload} operation succeeded")
+    report["wall_s"] = sum(wall_ms) / 1e3
 
     check = checks.CHECKS[workload]
     failed = 0
@@ -123,12 +130,17 @@ def run_workload(workload: str, seed: int, seconds: int, trace: int) -> tuple[di
         metrics = {name: {"value": report["layers"][name], "unit": unit} for name, unit, _ in LAYER_METRICS}
     else:
         values = {
-            "throughput_ops_s": report["operations"] / report["wall_s"],
-            "latency_p50_ms": statistics.median(report["op_ms"]),
+            "throughput_ops_s": len(scaled_ms) / (sum(scaled_ms) / 1e3),
+            "latency_p50_ms": statistics.median(scaled_ms),
             "setup_s": statistics.median(setups),
             "peak_rss_mb": report["peak_rss_mb"],
         }
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
+        report["wall"] = {
+            "throughput_ops_s": len(wall_ms) / report["wall_s"],
+            "latency_p50_ms": statistics.median(wall_ms),
+            "speed_ms": statistics.median(report["speed_ms"]),
+        }
     result = {"correct": not problems, "attempted": report["operations"], "failed": failed, "metrics": metrics}
     return result, report
 
@@ -139,13 +151,17 @@ def _print_table(workload: str, result: dict, report: dict, trace: int) -> None:
           f"outputs {'correct' if result['correct'] else 'WRONG'}, list wall time {report['wall_s']:.3f} s")
     for name, metric in result["metrics"].items():
         print(f"   {name:<38} {metric['value']:>14.6g} {metric['unit']}")
+    if not trace:
+        wall = report["wall"]
+        print(f"   unscaled wall times: {wall['throughput_ops_s']:.6g} ops/s, p50 {wall['latency_p50_ms']:.6g} ms; "
+              f"speed kernel median {wall['speed_ms']:.4g} ms (reference {speed.REFERENCE_MS} ms)")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=("all", *W.WORKLOADS), default="all")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30, help="nominal measured seconds of one run")
+    parser.add_argument("--seconds", type=int, default=25, help="nominal measured seconds of one run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: a traced run reporting per-layer metrics (ignored with --workload all)")
     args = parser.parse_args(argv)

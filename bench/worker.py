@@ -7,17 +7,19 @@
 It imports `fairline` from the checkout's `src/`, builds the workload's
 inputs, prints `ready`, then runs every operation once, writing one JSON
 line per operation with its output (or the error it raised). The last line
-is one JSON object: per-operation wall times, the list's wall time (their
-sum: handing an output over between operations is not timed), peak resident
-memory and, with `--trace 1`, the per-layer metrics. It checks nothing
-itself; the parent does, so that the checks' memory and time stay out of
-this process.
+is one JSON object: the wall time of every step of every operation, or of
+every whole operation in a traced run (handing an output over between
+operations is not timed); in a timed run, the speed kernel's time before
+the first step and after each step (`speed.py`); peak resident memory; and,
+with `--trace 1`, the per-layer metrics. It checks nothing itself; the
+parent does, so that the checks' memory and time stay out of this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import shutil
@@ -32,6 +34,7 @@ ROOT = BENCH.parent
 OUT = BENCH / "out"
 sys.path.insert(0, str(ROOT / "src"))
 
+import speed  # noqa: E402
 import workloads as W  # noqa: E402
 
 
@@ -70,7 +73,17 @@ def _finding(f) -> list:
     return [list(f.deviators), f.true_location, f.misreport, f.truthful_cost, f.deviating_cost]
 
 
-class AuditWorkload:
+class Workload:
+    """A workload's operation `i` is a list of steps, each a call into `fairline`."""
+
+    def steps(self, i: int) -> list:
+        raise NotImplementedError
+
+    def run(self, i: int) -> list:
+        return [step() for step in self.steps(i)]
+
+
+class AuditWorkload(Workload):
     def __init__(self, seed: int, count: int, workdir: Path) -> None:
         fl = _import_fairline()
         self.audit = fl.audit
@@ -82,15 +95,19 @@ class AuditWorkload:
             mechs = [fl.parse_mechanism(label) for label in labels] + [mean_rule]
             self.cases.append((profile, labels + ["mean"], mechs))
 
-    def run(self, i: int):
+    def steps(self, i: int) -> list:
         profile, _, mechs = self.cases[i]
-        individual = self.audit.batch_sp_audit(mechs, profile, W.AUDIT_RESOLUTION)
-        joint = self.audit.batch_group_sp_audit(mechs, profile, W.AUDIT_RESOLUTION)
-        return individual, joint
 
-    def output(self, i: int, result) -> dict:
+        def both():
+            individual = self.audit.batch_sp_audit(mechs, profile, W.AUDIT_RESOLUTION)
+            joint = self.audit.batch_group_sp_audit(mechs, profile, W.AUDIT_RESOLUTION)
+            return individual, joint
+
+        return [both]
+
+    def output(self, i: int, results: list) -> dict:
         profile, labels, _ = self.cases[i]
-        individual, joint = result
+        [(individual, joint)] = results
         return {
             "profile": profile.raw(),
             "rules": labels,
@@ -99,7 +116,7 @@ class AuditWorkload:
         }
 
 
-class SweepWorkload:
+class SweepWorkload(Workload):
     def __init__(self, seed: int, count: int, workdir: Path) -> None:
         _import_fairline()
         from fairline import cli
@@ -115,18 +132,21 @@ class SweepWorkload:
             self.dirs.append(str(target))
         self.argv_tail = ["--mech", ",".join(W.SWEEP_MECHS), "--obj", ",".join(W.SWEEP_OBJS)]
 
-    def run(self, i: int):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = self.cli.main(["sweep", self.dirs[i], *self.argv_tail])
-        return code, buf.getvalue()
+    def steps(self, i: int) -> list:
+        def sweep():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = self.cli.main(["sweep", self.dirs[i], *self.argv_tail])
+            return code, buf.getvalue()
 
-    def output(self, i: int, result) -> dict:
-        code, text = result
+        return [sweep]
+
+    def output(self, i: int, results: list) -> dict:
+        [(code, text)] = results
         return {"exit_code": code, "csv": text}
 
 
-class SearchWorkload:
+class SearchWorkload(Workload):
     def __init__(self, seed: int, count: int, workdir: Path) -> None:
         fl = _import_fairline()
         from fairline import cli
@@ -143,9 +163,10 @@ class SearchWorkload:
             for i in range(count)
         ]
 
-    def run(self, i: int):
+    def steps(self, i: int) -> list:
+        # One step per pair, so that the machine's speed is sampled between them.
         return [
-            self.adversary.bound_conformance(mech, spec, bound, config, (family,))
+            functools.partial(self.adversary.bound_conformance, mech, spec, bound, config, (family,))
             for (mech, spec, bound, family), config in zip(self.pairs, self.configs[i])
         ]
 
@@ -183,35 +204,52 @@ def main(argv: list[str] | None = None) -> int:
         if args.setup_only:
             return 0
 
-        run = workload.run
         tracer = None
         if args.trace:
             from tracing import OPERATION, Tracer
 
             tracer = Tracer()
             tracer.install()
-            run = tracer.span(OPERATION, run)
+            traced_run = tracer.span(OPERATION, workload.run)
 
-        op_ms = []
+        # Timed runs sample the machine's speed before the first step and
+        # after every step: steps_ms[k] lies between speed_ms[k] and speed_ms[k + 1].
+        steps_ms, step_op, failed = [], [], []
+        speed_ms = [] if tracer is not None else [speed.sample()]
         clock = time.perf_counter
         for i in range(count):
-            if tracer is not None:
-                tracer.current_op = i
-            t0 = clock()
+            results = []
             try:
-                result, error = run(i), None
+                if tracer is None:
+                    for step in workload.steps(i):
+                        t0 = clock()
+                        try:
+                            results.append(step())
+                        finally:
+                            steps_ms.append((clock() - t0) * 1e3)
+                            step_op.append(i)
+                            speed_ms.append(speed.sample())
+                else:
+                    tracer.current_op = i
+                    t0 = clock()
+                    results = traced_run(i)
+                    steps_ms.append((clock() - t0) * 1e3)
+                    step_op.append(i)
+                error = None
             except Exception:  # a failed operation is counted, and the run goes on
-                result, error = None, traceback.format_exc()
-            op_ms.append((clock() - t0) * 1e3)
+                results, error = None, traceback.format_exc()
+                failed.append(i)
             # Each output leaves the process before the next operation, so
             # peak memory is that of one operation, whatever the list length.
-            output = None if result is None else workload.output(i, result)
+            output = None if results is None else workload.output(i, results)
             sys.stdout.write(json.dumps({"error": error, "output": output}) + "\n")
-            del result, output
+            del results, output
         summary = {
             "operations": count,
-            "op_ms": op_ms,
-            "wall_s": sum(op_ms) / 1e3,
+            "steps_ms": steps_ms,
+            "step_op": step_op,
+            "speed_ms": speed_ms,
+            "failed_ops": failed,
             "peak_rss_mb": peak_rss_mb(),
         }
         if tracer is not None:
