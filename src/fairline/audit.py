@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .families import balanced_split_pair, singleton_pair
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import GroupedProfile, agent_cost, build_profile
+from .model import MERGE_TOL, GroupedProfile, agent_cost, build_profile
 from .objectives import ObjectiveSpec
 from .oracle import ratio
 
 # Strict-improvement threshold; suppresses floating-point phantom findings.
 VIOLATION_TOL = 1e-9
-_MERGE_TOL = 1e-12
 
 # Replication cap for the intergroup/intragroup lower-bound construction.
 _MAX_REPLICATION = 50
@@ -109,9 +109,9 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
         points.update(lo + i * step for i in range(resolution))
     out: list[float] = []
     for p in sorted(points):
-        if abs(p - own) <= _MERGE_TOL:
+        if abs(p - own) <= MERGE_TOL:
             continue
-        if not out or p - out[-1] > _MERGE_TOL:
+        if not out or p - out[-1] > MERGE_TOL:
             out.append(p)
     return out
 
@@ -184,15 +184,6 @@ def group_sp_audit(mechanism: MechanismLike, profile: GroupedProfile, resolution
     return batch_group_sp_audit([mechanism], profile, resolution)[0]
 
 
-def _singleton_pair(a: float, b: float) -> GroupedProfile:
-    return build_profile([(a, 1), (b, 2)], 2)
-
-
-def _replicated_pair(c: int, a: float, b: float) -> GroupedProfile:
-    raw = [(a, 1)] + [(b, 1)] * c + [(a, 2)] * c + [(b, 2)]
-    return build_profile(raw, 2)
-
-
 def _meets(ratio_value: float, bound: float, epsilon: float) -> bool:
     if math.isinf(bound):
         return math.isinf(ratio_value)
@@ -214,22 +205,22 @@ def lower_bound_probe(
     """
     fn = as_mechanism_fn(mechanism)
     if spec.kind in ("mtgc", "magc", "alt"):
-        base = _singleton_pair(0.0, 1.0)
+        base = singleton_pair()
 
         def rebuild(p: float) -> tuple[GroupedProfile, float]:
             # Mirror the construction when the facility lands left of center.
             if p >= 0.5:
-                return _singleton_pair(0.0, p), 1.0
-            return _singleton_pair(p, 1.0), 0.0
+                return singleton_pair(0.0, p), 1.0
+            return singleton_pair(p, 1.0), 0.0
 
     elif spec.kind in ("iif1", "iif2"):
         c = _MAX_REPLICATION if epsilon <= 0 else min(math.ceil(2.0 / epsilon), _MAX_REPLICATION)
-        base = _replicated_pair(c, 0.0, 1.0)
+        base = balanced_split_pair(c)
 
         def rebuild(p: float) -> tuple[GroupedProfile, float]:
             if p >= 0.5:
-                return _replicated_pair(c, 0.0, p), 1.0
-            return _replicated_pair(c, p, 1.0), 0.0
+                return balanced_split_pair(c, 0.0, p), 1.0
+            return balanced_split_pair(c, p, 1.0), 0.0
 
     else:
         raise ValueError(f"no lower-bound construction for {spec.label}")
@@ -242,7 +233,7 @@ def lower_bound_probe(
     if not base_outcome.is_deterministic:
         return ProbeVerdict.inconclusive()
     p = base_outcome.point
-    if p < -_MERGE_TOL or p > 1.0 + _MERGE_TOL:
+    if p < -MERGE_TOL or p > 1.0 + MERGE_TOL:
         raise ConstructionInapplicableError(
             f"facility at {p} falls outside [0, 1]; no case of the construction applies"
         )

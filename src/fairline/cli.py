@@ -22,7 +22,7 @@ from .instances import ParseError, ValidationError, load_instance
 from .mechanisms import MechanismId, MechanismLike, mechanism_label, parse_mechanism
 from .model import GroupedProfile, build_profile
 from .objectives import ObjectiveSpec, parse_objective
-from .oracle import ratio
+from .oracle import OptimalResult, optimize, ratio, ratio_to
 
 # Extension point used by tests to audit deliberately broken rules.
 EXTRA_MECHANISMS: dict[str, Callable] = {}
@@ -186,7 +186,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     config = SearchConfig(
         seed=args.seed,
         n_range=n_range,
-        m_range=(args.m_min, min(args.m_max, n_range[0])),
+        m_range=(args.m_min, args.m_max),
         iterations=args.iterations,
         perturbation_scale=args.perturbation,
         restarts=args.restarts,
@@ -259,9 +259,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
         name = doc.name or path.stem
+        optima: dict[ObjectiveSpec, OptimalResult] = {}
         for mechanism in mechanisms:
             for spec in objectives:
-                report = ratio(doc.profile, mechanism, spec)
+                # Computed at first use, so rows and errors come out in `ratio`'s order.
+                if spec not in optima:
+                    optima[spec] = optimize(doc.profile, spec)
+                report = ratio_to(doc.profile, mechanism, spec, optima[spec])
                 writer.writerow(
                     [
                         name,

@@ -81,15 +81,16 @@ def singleton_pair(a: float = 0.0, b: float = 1.0) -> GroupedProfile:
     return build_profile([(a, 1), (b, 2)], 2)
 
 
-def balanced_split_pair(c: int) -> GroupedProfile:
-    """Group 1: one agent at 0 and c at 1; group 2: c at 0 and one at 1.
+def balanced_split_pair(c: int, a: float = 0.0, b: float = 1.0) -> GroupedProfile:
+    """Group 1: one agent at a and c at b; group 2: c at a and one at b.
 
     Placing at either cluster pays 4 - 2/(c+1) times the optimum under both
-    combined fairness objectives.
+    combined fairness objectives. The base instance of the two-profile lower
+    bound for those objectives.
     """
     if c < 1:
         raise ValueError("replication must be positive")
-    raw = [(0.0, 1)] + [(1.0, 1)] * c + [(0.0, 2)] * c + [(1.0, 2)]
+    raw = [(a, 1)] + [(b, 1)] * c + [(a, 2)] * c + [(b, 2)]
     return build_profile(raw, 2)
 
 

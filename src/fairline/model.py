@@ -20,6 +20,8 @@ from typing import Iterable
 ABS_TOL = 1e-9
 # Tighter tolerance reserved for probability mass checks.
 PROB_TOL = 1e-12
+# Points closer than this on the line count as one (kinks, candidates, minimizers).
+MERGE_TOL = 1e-12
 
 
 class ProfileError(ValueError):

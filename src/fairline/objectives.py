@@ -98,38 +98,57 @@ def group_stat(locs: tuple[float, ...], y: float, h: str) -> float:
     return max(abs(y - locs[0]), abs(y - locs[-1]))
 
 
+def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tuple[list[float], ...]:
+    """Per-group values at y of each family of constituents the objective combines.
+
+    Every constituent is piecewise linear in y. There is one family for most
+    objectives and two for iif1, whose two maxima move independently. The
+    exact optimizer interpolates these families between kinks, so `combine`
+    of an interpolated family is the objective on that stretch.
+    """
+    groups = profile.group_locations
+    kind = spec.kind
+    if kind == "mtgc":
+        return ([_total(locs, y) for locs in groups],)
+    if kind == "magc":
+        return ([_total(locs, y) / len(locs) for locs in groups],)
+    if kind == "iif1":
+        return (
+            [_total(locs, y) / len(locs) for locs in groups],
+            [_spread(locs, y) for locs in groups],
+        )
+    if kind == "iif2":
+        return ([_total(locs, y) / len(locs) + _spread(locs, y) for locs in groups],)
+    return ([group_stat(locs, y, spec.h) for locs in groups],)
+
+
+def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:
+    """Objective value from the constituent families `constituents` returns.
+
+    Returns +inf only for alt form "b" when some group's statistic is 0 while
+    another's is not; the 0/0 case evaluates to 1.
+    """
+    kind = spec.kind
+    if kind == "iif1":
+        return max(families[0]) + max(families[1])
+    values = families[0]
+    if kind != "alt":
+        return max(values)
+    hi, lo = max(values), min(values)
+    if spec.form == "a":
+        return hi - lo
+    if lo <= 0.0:
+        return 1.0 if hi <= 0.0 else math.inf
+    return hi / lo
+
+
 def eval_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> float:
     """Objective value at a deterministic facility point.
 
     Returns +inf only for alt form "b" when some group sits exactly at y while
     another does not; the 0/0 case (every group at y) evaluates to 1.
     """
-    groups = profile.group_locations
-    kind = spec.kind
-    if kind == "mtgc":
-        return max(_total(locs, y) for locs in groups)
-    if kind == "magc":
-        return max(_total(locs, y) / len(locs) for locs in groups)
-    if kind == "iif1":
-        best_avg = 0.0
-        best_spread = 0.0
-        for locs in groups:
-            avg = _total(locs, y) / len(locs)
-            if avg > best_avg:
-                best_avg = avg
-            sp = _spread(locs, y)
-            if sp > best_spread:
-                best_spread = sp
-        return best_avg + best_spread
-    if kind == "iif2":
-        return max(_total(locs, y) / len(locs) + _spread(locs, y) for locs in groups)
-    values = [group_stat(locs, y, spec.h) for locs in groups]
-    hi, lo = max(values), min(values)
-    if spec.form == "a":
-        return hi - lo
-    if lo == 0.0:
-        return 1.0 if hi == 0.0 else math.inf
-    return hi / lo
+    return combine(spec, constituents(profile, spec, y))
 
 
 def eval_outcome(profile: GroupedProfile, spec: ObjectiveSpec, outcome: FacilityOutcome) -> float:

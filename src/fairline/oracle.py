@@ -6,8 +6,11 @@ midpoints between same-group agents. Between consecutive points of that grid
 each constituent is a straight line, so an objective built from maxima of
 constituents can only attain its minimum at a grid point or at a crossing of
 two constituent lines inside an interval. Enumerating those candidates gives
-an exact global optimum; a uniform-grid evaluator provides the independent
-cross-check.
+an exact global optimum. The constituents and the way an objective combines
+them come from `objectives.constituents` and `objectives.combine`, the same
+per-group evaluator behind `eval_point`, so the rule's side and the optimum's
+side of every ratio share one copy of each formula. `grid_optimize` is the
+independent numpy cross-check and deliberately shares none of it.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -24,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import GroupedProfile
-from .objectives import ObjectiveSpec, _spread, eval_outcome, eval_point, group_stat
+from .model import MERGE_TOL, GroupedProfile
+from .objectives import ObjectiveSpec, combine, constituents, eval_outcome, eval_point
 
-_MERGE_TOL = 1e-12
 _GRID_CHUNK = 1 << 16
 
 
@@ -60,7 +62,7 @@ class RatioReport:
 def _merge_close(sorted_points: list[float]) -> list[float]:
     out: list[float] = []
     for p in sorted_points:
-        if not out or p - out[-1] > _MERGE_TOL:
+        if not out or p - out[-1] > MERGE_TOL:
             out.append(p)
     return out
 
@@ -79,50 +81,12 @@ def breakpoints(profile: GroupedProfile, spec: ObjectiveSpec | None = None) -> t
     return tuple(_merge_close(sorted(pts)))
 
 
-def _family_values(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tuple[tuple[float, ...], ...]:
-    """Per-group values of each linear-constituent family at y.
-
-    One family for max-of-lines objectives; two for iif1, whose two maxima
-    move independently.
-    """
-    groups = profile.group_locations
-    kind = spec.kind
-    if kind == "mtgc":
-        return (tuple(sum(abs(y - x) for x in locs) for locs in groups),)
-    if kind == "magc":
-        return (tuple(sum(abs(y - x) for x in locs) / len(locs) for locs in groups),)
-    if kind in ("iif1", "iif2"):
-        avgs = []
-        spreads = []
-        for locs in groups:
-            avgs.append(sum(abs(y - x) for x in locs) / len(locs))
-            spreads.append(_spread(locs, y))
-        if kind == "iif1":
-            return (tuple(avgs), tuple(spreads))
-        return (tuple(a + s for a, s in zip(avgs, spreads)),)
-    return (tuple(group_stat(locs, y, spec.h) for locs in groups),)
-
-
-def _combine(spec: ObjectiveSpec, fams: tuple[tuple[float, ...], ...]) -> float:
-    if spec.kind == "iif1":
-        return max(fams[0]) + max(fams[1])
-    values = fams[0]
-    if spec.kind == "alt":
-        hi, lo = max(values), min(values)
-        if spec.form == "a":
-            return hi - lo
-        if lo <= 0.0:
-            return 1.0 if hi <= 0.0 else math.inf
-        return hi / lo
-    return max(values)
-
-
 def _crossing_candidates(
     spec: ObjectiveSpec,
     a: float,
-    fam_a: tuple[tuple[float, ...], ...],
+    fam_a: tuple[list[float], ...],
     b: float,
-    fam_b: tuple[tuple[float, ...], ...],
+    fam_b: tuple[list[float], ...],
 ) -> list[tuple[float, float]]:
     """Objective values at interior crossings of constituent lines on [a, b]."""
     ts: set[float] = set()
@@ -134,16 +98,16 @@ def _crossing_candidates(
                 if da == db:
                     continue
                 t = da / (da - db)
-                if _MERGE_TOL < t < 1.0 - _MERGE_TOL:
+                if MERGE_TOL < t < 1.0 - MERGE_TOL:
                     ts.add(t)
     out = []
     for t in sorted(ts):
         y = a + t * (b - a)
         fams_t = tuple(
-            tuple(va[i] + t * (vb[i] - va[i]) for i in range(len(va)))
+            [va[i] + t * (vb[i] - va[i]) for i in range(len(va))]
             for va, vb in zip(fam_a, fam_b)
         )
-        out.append((y, _combine(spec, fams_t)))
+        out.append((y, combine(spec, fams_t)))
     return out
 
 
@@ -165,8 +129,8 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
         # Convex objectives: kinks sit only at agent locations, and the true
         # minimum lies in one of the two intervals around the best kink.
         pts = _merge_close(sorted(set(profile.locations)))
-        fams = [_family_values(profile, spec, y) for y in pts]
-        values = [_combine(spec, f) for f in fams]
+        fams = [constituents(profile, spec, y) for y in pts]
+        values = [combine(spec, f) for f in fams]
         i0 = values.index(min(values))
         candidates = list(zip(pts, values))
         for lo in (i0 - 1, i0):
@@ -177,13 +141,13 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
                 )
     else:
         pts = list(breakpoints(profile, spec))
-        fam_prev = _family_values(profile, spec, pts[0])
-        candidates = [(pts[0], _combine(spec, fam_prev))]
+        fam_prev = constituents(profile, spec, pts[0])
+        candidates = [(pts[0], combine(spec, fam_prev))]
         for i in range(len(pts) - 1):
             a, b = pts[i], pts[i + 1]
-            fam_next = _family_values(profile, spec, b)
+            fam_next = constituents(profile, spec, b)
             candidates.extend(_crossing_candidates(spec, a, fam_prev, b, fam_next))
-            candidates.append((b, _combine(spec, fam_next)))
+            candidates.append((b, combine(spec, fam_next)))
             fam_prev = fam_next
 
     finite = [(y, v) for y, v in candidates if not math.isinf(v)]
@@ -280,11 +244,21 @@ def grid_optimize(profile: GroupedProfile, spec: ObjectiveSpec, resolution: int)
 
 def ratio(profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec) -> RatioReport:
     """Mechanism objective value over the exact optimum, with the zero-optimum convention."""
-    opt = optimize(profile, spec)
+    return ratio_to(profile, mechanism, spec, optimize(profile, spec))
+
+
+def ratio_to(
+    profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec, optimal: OptimalResult
+) -> RatioReport:
+    """`ratio` against `optimal`, an already computed `optimize(profile, spec)`.
+
+    Lets a caller that scores several rules on one objective compute the
+    optimum once.
+    """
     fn = as_mechanism_fn(mechanism)
     value = eval_outcome(profile, spec, fn(profile))
-    if opt.value == 0.0:
+    if optimal.value == 0.0:
         rho = 1.0 if value == 0.0 else math.inf
     else:
-        rho = value / opt.value
-    return RatioReport(mechanism_value=value, optimal=opt, ratio=rho)
+        rho = value / optimal.value
+    return RatioReport(mechanism_value=value, optimal=optimal, ratio=rho)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fairline import cli, families
+from fairline import cli, families, oracle
 from fairline.fixtures import Fixture, fixture_dir
 from fairline.instances import serialize_instance
 
@@ -159,6 +159,26 @@ class TestSearch:
         ratios = [float(r[1]) for r in rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    def test_default_group_range_reaches_m_max(self, tmp_path):
+        report_path = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "search", "--mech", "mgdm", "--obj", "mtgc", "--seed", "1",
+                "--restarts", "1", "--iterations", "5", "--report", str(report_path),
+            ]
+        )
+        assert code == 0
+        assert json.loads(report_path.read_text())["config"]["m_range"] == [1, 4]
+
+    def test_single_agent_search_runs(self, tmp_path):
+        code = run_cli(
+            [
+                "search", "--mech", "mdm", "--obj", "mtgc", "--n", "1", "--seed", "1",
+                "--restarts", "1", "--iterations", "5", "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 0
+
     def test_exceeded_bound_exits_one(self, tmp_path):
         code = run_cli(
             [
@@ -193,6 +213,24 @@ class TestSweep:
         assert worst[("mgdm", "magc")] == pytest.approx(3.0, abs=1e-9)
         assert 2.9 <= worst[("mdm", "magc")] <= 3.0 + 1e-9
         assert 1.9 <= worst[("nrm", "magc")] <= 2.0 + 1e-9
+
+    def test_each_optimum_computed_once(self, capsys, monkeypatch):
+        calls = []
+        original = oracle.optimize
+
+        def counted(profile, spec):
+            calls.append(spec)
+            return original(profile, spec)
+
+        monkeypatch.setattr(oracle, "optimize", counted)
+        monkeypatch.setattr(cli, "optimize", counted, raising=False)
+        code = run_cli(
+            ["sweep", str(fixture_dir()), "--mech", "mdm,mgdm,nrm", "--obj", "mtgc,magc"]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 72
+        assert len(calls) == 24
 
     def test_unreadable_instance_skipped_with_warning(self, tmp_path, capsys):
         (tmp_path / "good.json").write_text(serialize_instance(families.singleton_pair()))

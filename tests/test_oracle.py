@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from fairline import (
+    ALT_OBJECTIVES,
+    MAIN_OBJECTIVES,
     FacilityOutcome,
     IIF1,
     IIF2,
@@ -20,6 +23,7 @@ from fairline import (
     parse_mechanism,
     ratio,
 )
+from fairline.oracle import _distinct_weighted, _grid_values
 from fairline.families import (
     group_median_family,
     single_group_two_clusters,
@@ -153,6 +157,29 @@ def test_exact_never_above_grid(profile):
         exact = optimize(profile, spec)
         grid = grid_optimize(profile, spec, 2001)
         assert exact.value <= grid.value + 1e-9
+
+
+@given(grouped_profiles(), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+def test_scalar_evaluator_matches_numpy_grid_pointwise(profile, fractions):
+    # eval_point is the per-group evaluator the exact optimizer also uses;
+    # _grid_values is the independent numpy one behind grid_optimize.
+    x1, xn = profile.span
+    points = set(profile.locations)
+    for locs in profile.group_locations:
+        points.update((a + b) / 2.0 for i, a in enumerate(locs) for b in locs[i + 1 :])
+    points.update(x1 + t * (xn - x1) for t in fractions)
+    ys = sorted(points)
+    weighted = _distinct_weighted(profile)
+    for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+        # A subnormal group statistic overflows alt form "b" to inf in both
+        # evaluators; numpy would also warn about it.
+        with np.errstate(over="ignore"):
+            grid = _grid_values(weighted, spec, np.array(ys))
+        for y, expected in zip(ys, grid.tolist()):
+            got = eval_point(profile, spec, y)
+            assert math.isinf(got) == math.isinf(expected), (spec.label, y, got, expected)
+            if not math.isinf(got):
+                assert abs(got - expected) <= 1e-9 * max(1.0, abs(got)), (spec.label, y, got, expected)
 
 
 @given(grouped_profiles())
