@@ -19,7 +19,7 @@ from .audit import group_sp_audit, sp_audit
 from . import families
 from .fixtures import run_corpus
 from .instances import ParseError, ValidationError, load_instance
-from .mechanisms import MechanismId, MechanismLike, mechanism_label, parse_mechanism
+from .mechanisms import MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
 from .model import GroupedProfile, build_profile
 from .objectives import ObjectiveSpec, parse_objective
 from .oracle import OptimalResult, optimize, ratio, ratio_to
@@ -261,11 +261,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         name = doc.name or path.stem
         optima: dict[ObjectiveSpec, OptimalResult] = {}
         for mechanism in mechanisms:
+            outcome = as_mechanism_fn(mechanism)(doc.profile)
             for spec in objectives:
-                # Computed at first use, so rows and errors come out in `ratio`'s order.
                 if spec not in optima:
                     optima[spec] = optimize(doc.profile, spec)
-                report = ratio_to(doc.profile, mechanism, spec, optima[spec])
+                report = ratio_to(doc.profile, outcome, spec, optima[spec])
                 writer.writerow(
                     [
                         name,

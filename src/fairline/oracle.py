@@ -1,16 +1,18 @@
 """Exact and brute-force minimization of objectives over facility locations.
 
 Every per-group constituent (total, average, max cost, min cost) is piecewise
-linear in the facility location, with kinks only at agent locations and at
-midpoints between same-group agents. Between consecutive points of that grid
-each constituent is a straight line, so an objective built from maxima of
-constituents can only attain its minimum at a grid point or at a crossing of
-two constituent lines inside an interval. Enumerating those candidates gives
-an exact global optimum. The constituents and the way an objective combines
-them come from `objectives.constituents` and `objectives.combine`, the same
-per-group evaluator behind `eval_point`, so the rule's side and the optimum's
-side of every ratio share one copy of each formula. `grid_optimize` is the
-independent numpy cross-check and deliberately shares none of it.
+linear in the facility location, with kinks only at agent locations, at
+midpoints of consecutive members of a group, and at the midpoint of a group's
+two extreme members: at most 2n points (`breakpoints`). Between consecutive
+points of that grid each constituent is a straight line, so an objective built
+from maxima of constituents can only attain its minimum at a grid point or at
+a crossing of two constituent lines inside an interval. Enumerating those
+candidates gives an exact global optimum. The constituents and the way an
+objective combines them come from `objectives.constituents` and
+`objectives.combine`, the same per-group evaluator behind `eval_point`, so the
+rule's side and the optimum's side of every ratio share one copy of each
+formula. `grid_optimize` is the independent numpy cross-check and
+deliberately shares none of it.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import MERGE_TOL, GroupedProfile
+from .model import MERGE_TOL, FacilityOutcome, GroupedProfile
 from .objectives import ObjectiveSpec, combine, constituents, eval_outcome, eval_point
 
 _GRID_CHUNK = 1 << 16
@@ -68,16 +70,22 @@ def _merge_close(sorted_points: list[float]) -> list[float]:
 
 
 def breakpoints(profile: GroupedProfile, spec: ObjectiveSpec | None = None) -> tuple[float, ...]:
-    """Kink grid: agent locations plus same-group pairwise midpoints.
+    """Kink grid: agent locations, consecutive same-group midpoints, extreme midpoints.
 
-    The same set is returned for every objective; it is a superset of the
-    kinks of every constituent function of every objective.
+    For each group it holds the midpoint of every two consecutive members and
+    the midpoint of its two extreme members, so at most 2n points in all. The
+    same set is returned for every objective, and it holds every kink of every
+    constituent:
+    - a group's total (and average) cost kinks only at its members;
+    - the distance to its nearest member kinks only at members and at
+      consecutive midpoints;
+    - the distance to its farthest member (alt h="max", and the max part of
+      the iif spread) kinks only at its members and its extreme midpoint.
     """
     pts = set(profile.locations)
     for locs in profile.group_locations:
-        for i in range(len(locs)):
-            for j in range(i + 1, len(locs)):
-                pts.add((locs[i] + locs[j]) / 2.0)
+        pts.update((a + b) / 2.0 for a, b in zip(locs, locs[1:]))
+        pts.add((locs[0] + locs[-1]) / 2.0)
     return tuple(_merge_close(sorted(pts)))
 
 
@@ -210,7 +218,7 @@ def _grid_values(groups: list[tuple[np.ndarray, np.ndarray, int]], spec: Objecti
     lo = np.minimum.reduce(stats)
     if spec.form == "a":
         return hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.where(hi == 0.0, 1.0, np.inf))
     return vals
 
@@ -244,19 +252,19 @@ def grid_optimize(profile: GroupedProfile, spec: ObjectiveSpec, resolution: int)
 
 def ratio(profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec) -> RatioReport:
     """Mechanism objective value over the exact optimum, with the zero-optimum convention."""
-    return ratio_to(profile, mechanism, spec, optimize(profile, spec))
+    optimal = optimize(profile, spec)
+    return ratio_to(profile, as_mechanism_fn(mechanism)(profile), spec, optimal)
 
 
 def ratio_to(
-    profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec, optimal: OptimalResult
+    profile: GroupedProfile, outcome: FacilityOutcome, spec: ObjectiveSpec, optimal: OptimalResult
 ) -> RatioReport:
-    """`ratio` against `optimal`, an already computed `optimize(profile, spec)`.
+    """`ratio` of a rule's `outcome` against `optimal`, an already computed `optimize(profile, spec)`.
 
-    Lets a caller that scores several rules on one objective compute the
-    optimum once.
+    Lets a caller that scores several rules on several objectives apply each
+    rule and compute each optimum once.
     """
-    fn = as_mechanism_fn(mechanism)
-    value = eval_outcome(profile, spec, fn(profile))
+    value = eval_outcome(profile, spec, outcome)
     if optimal.value == 0.0:
         rho = 1.0 if value == 0.0 else math.inf
     else:

@@ -7,6 +7,7 @@ import pytest
 from fairline import cli, families, oracle
 from fairline.fixtures import Fixture, fixture_dir
 from fairline.instances import serialize_instance
+from fairline.mechanisms import MechanismId
 
 from conftest import mean_mechanism, schema_errors
 
@@ -231,6 +232,23 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 72
         assert len(calls) == 24
+
+    def test_each_rule_applied_once_per_instance(self, capsys, monkeypatch):
+        calls = []
+        original = MechanismId.apply
+
+        def counted(self, profile):
+            calls.append(self.label)
+            return original(self, profile)
+
+        monkeypatch.setattr(MechanismId, "apply", counted)
+        code = run_cli(
+            ["sweep", str(fixture_dir()), "--mech", "mdm,mgdm,nrm,kldm:1", "--obj", "mtgc,magc,iif1,iif2"]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 192
+        assert len(calls) == 48
 
     def test_unreadable_instance_skipped_with_warning(self, tmp_path, capsys):
         (tmp_path / "good.json").write_text(serialize_instance(families.singleton_pair()))

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,19 @@ class TestBreakpoints:
 
     def test_two_singleton_groups_have_no_midpoints(self):
         assert breakpoints(singleton_pair()) == (0.0, 1.0)
+
+    def test_only_consecutive_and_extreme_midpoints(self):
+        # 0.5, 1.5 and 4 are consecutive midpoints and 3 the extreme one; the
+        # midpoint 3.5 of 1 and 6 is no kink and is left out.
+        profile = build_profile([(0, 1), (1, 1), (2, 1), (6, 1)], 1)
+        assert breakpoints(profile) == (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
+    def test_one_group_grid_has_at_most_two_points_per_member(self, k):
+        rng = random.Random(k)
+        profile = build_profile([(rng.uniform(0, 1), 1) for _ in range(k)], 1)
+        assert len(set(profile.locations)) == k
+        assert len(breakpoints(profile)) <= 2 * k
 
 
 class TestOptimize:
@@ -108,6 +123,16 @@ class TestGridOptimize:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             grid_optimize(singleton_pair(), MTGC, 1)
+
+    def test_subnormal_group_statistic_overflows_silently(self):
+        # At the grid's first point the singleton group's total is 5e-324, so
+        # the max/min ratio overflows to inf, which eval_point also returns.
+        p = build_profile([(0, 1), (1, 1), (5e-324, 2)], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = grid_optimize(p, alt("b", "total"), 101)
+        assert math.isinf(eval_point(p, alt("b", "total"), 0.0))
+        assert grid.value == pytest.approx(optimize(p, alt("b", "total")).value, rel=1e-3)
 
     def test_doubling_resolutions_refine(self):
         p = tight_average_family(4)
@@ -171,10 +196,7 @@ def test_scalar_evaluator_matches_numpy_grid_pointwise(profile, fractions):
     ys = sorted(points)
     weighted = _distinct_weighted(profile)
     for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
-        # A subnormal group statistic overflows alt form "b" to inf in both
-        # evaluators; numpy would also warn about it.
-        with np.errstate(over="ignore"):
-            grid = _grid_values(weighted, spec, np.array(ys))
+        grid = _grid_values(weighted, spec, np.array(ys))
         for y, expected in zip(ys, grid.tolist()):
             got = eval_point(profile, spec, y)
             assert math.isinf(got) == math.isinf(expected), (spec.label, y, got, expected)
