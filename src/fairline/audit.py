@@ -5,6 +5,10 @@ the mechanisms implemented here change output only when a report crosses an
 order statistic or a group median, and all such thresholds appear in the
 candidate set (other agents' locations, group medians, their reflections
 about the deviator, plus a wide uniform grid for robustness).
+
+Each candidate's deviated profile is spliced from the truthful one by
+`GroupedProfile.with_reports` rather than rebuilt, and shared across the
+audited mechanisms; it equals the profile `build_profile` would give.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 
 from .families import balanced_split_pair, singleton_pair
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import MERGE_TOL, GroupedProfile, agent_cost, build_profile
+from .model import MERGE_TOL, GroupedProfile, agent_cost
 from .objectives import ObjectiveSpec
 from .oracle import ratio
 
@@ -116,13 +120,6 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
     return out
 
 
-def _deviation_profile(profile: GroupedProfile, indices: tuple[int, ...], report: float) -> GroupedProfile:
-    pairs = profile.raw()
-    for i in indices:
-        pairs[i] = (report, pairs[i][1])
-    return build_profile(pairs, profile.group_count)
-
-
 def _colocated_sets(profile: GroupedProfile) -> list[tuple[int, ...]]:
     """Maximal sets of agents sharing a location, group labels disregarded."""
     sets: list[tuple[int, ...]] = []
@@ -141,7 +138,6 @@ def _audit_sets(
     resolution: int,
     deviator_sets: list[tuple[int, ...]],
 ) -> list[list[AuditFinding]]:
-    # The perturbed profile is shared across mechanisms, which dominates the cost.
     fns = [as_mechanism_fn(m) for m in mechanisms]
     truthful = [fn(profile) for fn in fns]
     findings: list[list[AuditFinding]] = [[] for _ in fns]
@@ -149,7 +145,7 @@ def _audit_sets(
         true_loc = profile.agents[deviators[0]].location
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         for cand in misreport_candidates(profile, deviators[0], resolution):
-            deviated = _deviation_profile(profile, deviators, cand)
+            deviated = profile.with_reports(deviators, cand)
             for k, fn in enumerate(fns):
                 d_cost = agent_cost(fn(deviated), true_loc)
                 if d_cost < t_costs[k] - VIOLATION_TOL:

@@ -22,7 +22,7 @@ from .instances import ParseError, ValidationError, load_instance
 from .mechanisms import MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
 from .model import GroupedProfile, build_profile
 from .objectives import ObjectiveSpec, parse_objective
-from .oracle import OptimalResult, optimize, ratio, ratio_to
+from .oracle import OptimalResult, optimize, ratio_to
 
 # Extension point used by tests to audit deliberately broken rules.
 EXTRA_MECHANISMS: dict[str, Callable] = {}
@@ -58,10 +58,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     profile = _normalized(doc.profile) if args.normalize else doc.profile
     mechanism = _resolve_mechanism(args.mech)
     spec = parse_objective(args.obj)
-    outcome = (
-        mechanism.apply(profile) if isinstance(mechanism, MechanismId) else mechanism(profile)
-    )
-    report = ratio(profile, mechanism, spec)
+    outcome = as_mechanism_fn(mechanism)(profile)
+    report = ratio_to(profile, outcome, spec, optimize(profile, spec))
     violations = len(sp_audit(mechanism, profile, args.resolution)) + len(
         group_sp_audit(mechanism, profile, args.resolution)
     )

@@ -12,8 +12,9 @@ to share across threads without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 # Absolute tolerance for value comparisons throughout the package.
@@ -61,18 +62,26 @@ class GroupedProfile:
     """Agents sorted ascending by (location, group), partitioned into groups 1..group_count.
 
     Colocated agents are ordered by group label and then by input order, which
-    makes every mechanism built on top of this type deterministic.
+    makes every mechanism built on top of this type deterministic. The derived
+    views (`locations`, `group_locations`, `group_sizes`, `group_medians`) are
+    computed once, when the profile is made.
     """
 
     agents: tuple[Agent, ...]
     group_count: int
+    locations: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Member locations per group, each tuple sorted ascending.
+    group_locations: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Left median of every group's member locations.
+    group_medians: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.group_count < 1:
             raise ProfileError("group_count must be at least 1")
         if not self.agents:
             raise ProfileError("a profile needs at least one agent")
-        seen: set[int] = set()
+        buckets: list[list[float]] = [[] for _ in range(self.group_count)]
         prev: tuple[float, int] | None = None
         for a in self.agents:
             if not 1 <= a.group <= self.group_count:
@@ -81,35 +90,22 @@ class GroupedProfile:
             if prev is not None and key < prev:
                 raise ProfileError("agents must be sorted by (location, group)")
             prev = key
-            seen.add(a.group)
-        for j in range(1, self.group_count + 1):
-            if j not in seen:
+            buckets[a.group - 1].append(a.location)
+        for j, bucket in enumerate(buckets, start=1):
+            if not bucket:
                 raise EmptyGroupError(j)
+        group_locations = tuple(tuple(b) for b in buckets)
+        _set_views(
+            self,
+            tuple(a.location for a in self.agents),
+            group_locations,
+            tuple(len(b) for b in buckets),
+            tuple(_left_median(locs) for locs in group_locations),
+        )
 
     @property
     def n(self) -> int:
         return len(self.agents)
-
-    @cached_property
-    def locations(self) -> tuple[float, ...]:
-        return tuple(a.location for a in self.agents)
-
-    @cached_property
-    def group_locations(self) -> tuple[tuple[float, ...], ...]:
-        """Member locations per group, each tuple sorted ascending."""
-        buckets: list[list[float]] = [[] for _ in range(self.group_count)]
-        for a in self.agents:
-            buckets[a.group - 1].append(a.location)
-        return tuple(tuple(b) for b in buckets)
-
-    @cached_property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(locs) for locs in self.group_locations)
-
-    @cached_property
-    def group_medians(self) -> tuple[float, ...]:
-        """Left median of every group's member locations."""
-        return tuple(locs[(len(locs) + 1) // 2 - 1] for locs in self.group_locations)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -127,15 +123,112 @@ class GroupedProfile:
 
     def with_location(self, index: int, location: float) -> "GroupedProfile":
         """New profile with agent `index` reporting `location` instead."""
-        pairs = self.raw()
-        pairs[index] = (float(location), pairs[index][1])
-        return build_profile(pairs, self.group_count)
+        return self.with_reports((index,), location)
+
+    def with_reports(self, indices: Iterable[int], location: float) -> "GroupedProfile":
+        """New profile with every agent in `indices` reporting `location` instead.
+
+        Equal to `build_profile` on the edited (location, group) pairs, down to
+        the order of tied agents, but splices the new reports into the sorted
+        views instead of re-sorting and re-validating: unchanged `Agent`s are
+        reused, and the deviators keep their groups, so every group stays
+        non-empty. Indices follow sequence indexing, negative ones included.
+        Raises InvalidLocationError if `location` is not finite.
+        """
+        report = float(location)
+        old = self.agents
+        positions = range(len(old))
+        movers = sorted({positions[i] for i in indices})
+        # Deviators in the order a stable sort gives them: one report, so by
+        # (group, input position).
+        order = sorted((old[i].group, i) for i in movers)
+        new = [Agent(report, g) for g, _ in order]
+        ranks = [self._group_rank(i) for _, i in order]
+        agents = list(old)
+        locs = list(self.locations)
+        for i in reversed(movers):
+            del agents[i]
+            del locs[i]
+        # Positions are found among the unchanged agents; the k deviators
+        # placed before one all precede it, hence the `+ k`.
+        lo = bisect_left(locs, report)
+        hi = bisect_right(locs, report, lo)
+        spots = []
+        for k, (g, i) in enumerate(order):
+            g_lo = bisect_left(agents, g, lo, hi, key=_GROUP_OF)
+            g_hi = bisect_right(agents, g, g_lo, hi, key=_GROUP_OF)
+            spots.append(_tie_position(g_lo, g_hi, i - bisect_left(movers, i)) + k)
+        for spot, agent in zip(spots, new):
+            agents.insert(spot, agent)
+            locs.insert(spot, report)
+
+        group_locations = list(self.group_locations)
+        medians = list(self.group_medians)
+        runs: dict[int, list[int]] = {}
+        for (g, _), rank in zip(order, ranks):
+            runs.setdefault(g, []).append(rank)
+        for g, run_ranks in runs.items():
+            members = list(group_locations[g - 1])
+            for rank in reversed(run_ranks):
+                del members[rank]
+            g_lo = bisect_left(members, report)
+            g_hi = bisect_right(members, report, g_lo)
+            spots = [_tie_position(g_lo, g_hi, rank - k) + k for k, rank in enumerate(run_ranks)]
+            for spot in spots:
+                members.insert(spot, report)
+            group_locations[g - 1] = spliced = tuple(members)
+            medians[g - 1] = _left_median(spliced)
+
+        out = object.__new__(GroupedProfile)
+        object.__setattr__(out, "agents", tuple(agents))
+        object.__setattr__(out, "group_count", self.group_count)
+        _set_views(out, tuple(locs), tuple(group_locations), self.group_sizes, tuple(medians))
+        return out
+
+    def _group_rank(self, index: int) -> int:
+        """Position of agent `index` among the members of its group."""
+        a = self.agents[index]
+        rank = bisect_left(self.group_locations[a.group - 1], a.location)
+        j = index - 1
+        while j >= 0 and self.locations[j] == a.location:
+            rank += self.agents[j].group == a.group
+            j -= 1
+        return rank
 
     def with_group(self, index: int, group: int) -> "GroupedProfile":
         """New profile with agent `index` relabelled to `group`."""
         pairs = self.raw()
         pairs[index] = (pairs[index][0], int(group))
         return build_profile(pairs, self.group_count)
+
+
+_GROUP_OF = attrgetter("group")
+
+
+def _left_median(sorted_locs: tuple[float, ...]) -> float:
+    return sorted_locs[(len(sorted_locs) + 1) // 2 - 1]
+
+
+def _tie_position(lo: int, hi: int, preceding: int) -> int:
+    """Insert index for a new entry among equal keys at [lo, hi) of a sorted list.
+
+    `preceding` counts the unchanged entries that came before the deviator in
+    the input; a stable sort keeps those of them with an equal key ahead of it.
+    """
+    return min(max(lo, preceding), hi)
+
+
+def _set_views(
+    profile: GroupedProfile,
+    locations: tuple[float, ...],
+    group_locations: tuple[tuple[float, ...], ...],
+    group_sizes: tuple[int, ...],
+    group_medians: tuple[float, ...],
+) -> None:
+    object.__setattr__(profile, "locations", locations)
+    object.__setattr__(profile, "group_locations", group_locations)
+    object.__setattr__(profile, "group_sizes", group_sizes)
+    object.__setattr__(profile, "group_medians", group_medians)
 
 
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:
@@ -181,8 +274,17 @@ class FacilityOutcome:
 
     @classmethod
     def at(cls, point: float) -> "FacilityOutcome":
-        """Deterministic outcome at a single point."""
-        return cls(((float(point), 1.0),))
+        """Deterministic outcome at a single point.
+
+        A single point with probability 1.0 can fail only the finiteness
+        check, so that is the only one made here.
+        """
+        pt = float(point)
+        if not math.isfinite(pt):
+            raise OutcomeError(f"support point must be finite, got {pt!r}")
+        out = object.__new__(cls)
+        object.__setattr__(out, "support", ((pt, 1.0),))
+        return out
 
     @classmethod
     def lottery(cls, pairs: Iterable[tuple[float, float]]) -> "FacilityOutcome":
@@ -220,7 +322,11 @@ class GroupCostSummary:
 
 def agent_cost(outcome: FacilityOutcome, location: float) -> float:
     """Expected distance from `location` to the facility under `outcome`."""
-    return sum(p * abs(pt - location) for pt, p in outcome.support)
+    support = outcome.support
+    if len(support) == 1:
+        pt, p = support[0]
+        return p * abs(pt - location)
+    return sum(p * abs(pt - location) for pt, p in support)
 
 
 def group_summary(profile: GroupedProfile, group: int, outcome: FacilityOutcome) -> GroupCostSummary:

@@ -6,7 +6,7 @@ import pytest
 
 from fairline import cli, families, oracle
 from fairline.fixtures import Fixture, fixture_dir
-from fairline.instances import serialize_instance
+from fairline.instances import load_instance, serialize_instance
 from fairline.mechanisms import MechanismId
 
 from conftest import mean_mechanism, schema_errors
@@ -66,6 +66,24 @@ class TestEval:
         out = capsys.readouterr().out
         assert "mechanism value   2" in out
         assert "ratio" in out
+
+    def test_rule_applied_once_to_the_truthful_profile(self, capsys, monkeypatch):
+        truthful = load_instance(TIGHT).profile
+        calls = []
+        original = MechanismId.apply
+
+        def counted(self, profile):
+            calls.append(profile == truthful)
+            return original(self, profile)
+
+        monkeypatch.setattr(MechanismId, "apply", counted)
+        code = run_cli(["eval", str(TIGHT), "--mech", "mgdm", "--obj", "mtgc", "--resolution", "11"])
+        assert code == 0
+        assert "ratio             3" in capsys.readouterr().out
+        # Once for the report, once for each audit's truthful baseline; every
+        # other call is on a deviated profile.
+        assert sum(calls) == 3
+        assert len(calls) > 3
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,0 +1,161 @@
+"""The spliced deviation path against a full rebuild.
+
+`GroupedProfile.with_reports` splices changed reports into an already sorted
+profile. `rebuild_audit_sets` is a test-only reference: the audit loop as it
+was before the splice, rebuilding every deviated profile with
+`build_profile`. Both must give equal profiles and exactly equal findings.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from fairline import InvalidLocationError, agent_cost, build_profile, parse_mechanism
+from fairline import audit
+from fairline.audit import VIOLATION_TOL, AuditFinding, misreport_candidates
+from fairline.mechanisms import as_mechanism_fn
+
+from conftest import mean_mechanism
+
+PROFILES = 10_000
+VIEWS = ("agents", "locations", "group_locations", "group_sizes", "group_medians")
+
+
+def _random_pairs(rng: random.Random, max_n: int = 10, max_m: int = 3) -> tuple[list, int]:
+    n = rng.randint(1, max_n)
+    m = rng.randint(1, min(max_m, n))
+    digits = rng.choice((0, 1, 2, None))
+    locs: list[float] = []
+    for _ in range(n):
+        if locs and rng.random() < 0.3:
+            locs.append(rng.choice(locs))  # colocated, often across groups
+        else:
+            x = rng.uniform(-2.0, 2.0)
+            locs.append(x if digits is None else round(x, digits))
+    labels = list(range(1, m + 1)) + [rng.randint(1, m) for _ in range(n - m)]
+    rng.shuffle(labels)
+    return list(zip(locs, labels)), m
+
+
+def _report(rng: random.Random, profile) -> float:
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.choice(profile.locations)  # ties with an existing agent
+    if roll < 0.5:
+        return rng.choice((0.0, -0.0))
+    return round(rng.uniform(-3.0, 3.0), rng.choice((0, 1, 2)))
+
+
+def _rebuilt(profile, indices, report):
+    pairs = profile.raw()
+    for i in indices:
+        pairs[i] = (report, pairs[i][1])
+    return build_profile(pairs, profile.group_count)
+
+
+def _signs(profile) -> list[float]:
+    floats = [*profile.locations, *profile.group_medians]
+    for locs in profile.group_locations:
+        floats.extend(locs)
+    return [math.copysign(1.0, x) for x in floats]
+
+
+def _assert_same(got, want, context):
+    for view in VIEWS:
+        assert getattr(got, view) == getattr(want, view), (view, context)
+    # `==` cannot tell 0.0 from -0.0; the order of tied agents can.
+    assert _signs(got) == _signs(want), context
+    assert got == want and got.n == want.n and got.span == want.span, context
+
+
+def test_splice_matches_rebuild():
+    rng = random.Random(5)
+    for k in range(PROFILES):
+        pairs, m = _random_pairs(rng)
+        profile = build_profile(pairs, m)
+        i = rng.randrange(-profile.n, profile.n)
+        report = _report(rng, profile)
+        _assert_same(profile.with_location(i, report), _rebuilt(profile, (i,), report), (k, pairs, i, report))
+        # A colocated set, or any subset of agents, moving together.
+        if rng.random() < 0.5:
+            sets = audit._colocated_sets(profile)
+            indices = rng.choice(sets)
+        else:
+            indices = tuple(rng.sample(range(profile.n), rng.randint(1, profile.n)))
+        report = _report(rng, profile)
+        context = (k, pairs, indices, report)
+        _assert_same(profile.with_reports(indices, report), _rebuilt(profile, indices, report), context)
+
+
+def test_splice_of_a_splice_matches_rebuild():
+    rng = random.Random(6)
+    for _ in range(500):
+        pairs, m = _random_pairs(rng)
+        profile = want = build_profile(pairs, m)
+        for _ in range(5):
+            i = rng.randrange(profile.n)
+            report = _report(rng, profile)
+            profile = profile.with_location(i, report)
+            want = _rebuilt(want, (i,), report)
+            _assert_same(profile, want, (pairs, i, report))
+
+
+@pytest.mark.parametrize("report", [math.nan, math.inf, -math.inf])
+def test_nonfinite_report_rejected(report):
+    profile = build_profile([(0, 1), (1, 2), (1, 2)], 2)
+    with pytest.raises(InvalidLocationError):
+        profile.with_location(0, report)
+    with pytest.raises(InvalidLocationError):
+        profile.with_reports((1, 2), report)
+
+
+def test_overflowed_candidate_rejected():
+    # x1 - width overflows to -inf: the audit must refuse it, not place it.
+    profile = build_profile([(-1.7e308, 1), (1.7e308, 1)], 1)
+    assert misreport_candidates(profile, 1, 1)[0] == -math.inf
+    with pytest.raises(InvalidLocationError):
+        audit.sp_audit(parse_mechanism("mdm"), profile, 1)
+
+
+def rebuild_audit_sets(mechanisms, profile, resolution, deviator_sets):
+    """The audit loop with a full `build_profile` for every candidate."""
+    fns = [as_mechanism_fn(m) for m in mechanisms]
+    truthful = [fn(profile) for fn in fns]
+    findings = [[] for _ in fns]
+    for deviators in deviator_sets:
+        true_loc = profile.agents[deviators[0]].location
+        t_costs = [agent_cost(out, true_loc) for out in truthful]
+        for cand in misreport_candidates(profile, deviators[0], resolution):
+            deviated = _rebuilt(profile, deviators, cand)
+            for k, fn in enumerate(fns):
+                d_cost = agent_cost(fn(deviated), true_loc)
+                if d_cost < t_costs[k] - VIOLATION_TOL:
+                    findings[k].append(AuditFinding(deviators, true_loc, cand, t_costs[k], d_cost))
+    return findings
+
+
+def _all_rules(profile):
+    tags = ["mdm", "ldm", "mgdm", "rm", "nrm", "mogm"]
+    tags += [f"kldm:{k}" for k in sorted({1, (profile.n + 1) // 2, profile.n})]
+    tags += [f"mog:{j}" for j in range(1, profile.group_count + 1)]
+    return [parse_mechanism(t) for t in tags] + [mean_mechanism]
+
+
+@pytest.mark.parametrize("resolution, count", [(1, 150), (7, 150), (101, 40)])
+def test_audit_findings_match_rebuild(resolution, count):
+    rng = random.Random(resolution)
+    found = 0
+    for _ in range(count):
+        pairs, m = _random_pairs(rng, max_n=8)
+        profile = build_profile(pairs, m)
+        rules = _all_rules(profile)
+        singles = [(i,) for i in range(profile.n)]
+        want = rebuild_audit_sets(rules, profile, resolution, singles)
+        assert audit.batch_sp_audit(rules, profile, resolution) == want, pairs
+        want = rebuild_audit_sets(rules, profile, resolution, audit._colocated_sets(profile))
+        assert audit.batch_group_sp_audit(rules, profile, resolution) == want, pairs
+        found += sum(map(len, want))
+    assert found  # the mean rule keeps the comparison from being vacuous

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -84,6 +85,19 @@ class TestOutcome:
         out = FacilityOutcome.at(3.0)
         assert out.is_deterministic and out.point == 3.0
 
+    @pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_rejected(self, point):
+        with pytest.raises(OutcomeError):
+            FacilityOutcome.at(point)
+
+    def test_point_equals_validated_single_point(self):
+        rng = random.Random(3)
+        for x in [0.0, -0.0, 5e-324, -1.7e308, 3] + [rng.uniform(-1e6, 1e6) for _ in range(100)]:
+            out = FacilityOutcome.at(x)
+            assert out == FacilityOutcome(((float(x), 1.0),))
+            assert math.copysign(1.0, out.point) == math.copysign(1.0, x)
+            assert out.is_deterministic
+
     def test_lottery_merges_duplicates(self):
         out = FacilityOutcome.lottery([(1.0, 0.25), (1.0, 0.25), (0.0, 0.5)])
         assert out.support == ((0.0, 0.5), (1.0, 0.5))
@@ -113,6 +127,17 @@ class TestAgentCost:
     def test_three_point_lottery(self):
         out = FacilityOutcome.lottery([(0.0, 0.25), (1.0, 0.25), (0.5, 0.5)])
         assert agent_cost(out, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+    def test_single_point_matches_generic_sum(self):
+        rng = random.Random(4)
+        probabilities = [1.0, sum([0.1] * 10)]  # a merged lottery may hold 0.9999999999999999
+        for _ in range(5000):
+            pt, x = (rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-12, 12) for _ in range(2))
+            for p in probabilities:
+                out = FacilityOutcome(((pt, p),))
+                generic = sum(q * abs(y - x) for y, q in out.support)
+                assert agent_cost(out, x).hex() == generic.hex()
+                assert agent_cost(out, pt) == 0.0
 
     def test_symmetric_pair(self):
         out = FacilityOutcome.lottery([(0.0, 0.5), (2.0, 0.5)])
