@@ -18,7 +18,7 @@ from .audit import (
     misreport_candidates,
     sp_audit,
 )
-from .fixtures import Fixture, load_fixtures, run_corpus, run_fixture
+from .fixtures import ABS_TOL, Fixture, load_fixtures, run_corpus, run_fixture
 from .instances import (
     InstanceDocument,
     ParseError,
@@ -43,7 +43,6 @@ from .mechanisms import (
     rm,
 )
 from .model import (
-    ABS_TOL,
     Agent,
     EmptyGroupError,
     FacilityOutcome,

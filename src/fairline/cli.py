@@ -16,10 +16,9 @@ from typing import Callable
 
 from .adversary import SearchConfig, bound_conformance, hill_climb
 from .audit import group_sp_audit, sp_audit
-from . import families
 from .fixtures import run_corpus
 from .instances import ParseError, ValidationError, load_instance
-from .mechanisms import MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
+from .mechanisms import _RULES, MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
 from .model import GroupedProfile, build_profile
 from .objectives import ObjectiveSpec, parse_objective
 from .oracle import OptimalResult, optimize, ratio_to
@@ -60,9 +59,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = parse_objective(args.obj)
     outcome = as_mechanism_fn(mechanism)(profile)
     report = ratio_to(profile, outcome, spec, optimize(profile, spec))
-    violations = len(sp_audit(mechanism, profile, args.resolution)) + len(
-        group_sp_audit(mechanism, profile, args.resolution)
-    )
+    joint = [f for f in group_sp_audit(mechanism, profile, args.resolution) if len(f.deviators) > 1]
+    violations = len(sp_audit(mechanism, profile, args.resolution)) + len(joint)
     payload = {
         "instance": doc.name or Path(args.instance).stem,
         "mechanism": mechanism_label(mechanism),
@@ -120,7 +118,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     doc = load_instance(args.instance)
     mechanism = _resolve_mechanism(args.mech)
     individual = sp_audit(mechanism, doc.profile, args.resolution)
-    joint = group_sp_audit(mechanism, doc.profile, args.resolution)
+    # A one-agent colocated set only repeats an individual finding, so joint ones need two or more agents.
+    joint = [f for f in group_sp_audit(mechanism, doc.profile, args.resolution) if len(f.deviators) > 1]
     findings = [("agent", f) for f in individual] + [("colocated set", f) for f in joint]
     if args.json:
         print(
@@ -151,27 +150,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def tight_family_profile(mechanism: MechanismLike, spec: ObjectiveSpec, n_hint: int) -> GroupedProfile | None:
     """Known worst-case family for a (mechanism, objective) pair, sized near n_hint."""
-    tag = mechanism.tag if isinstance(mechanism, MechanismId) else None
-    if tag is None:
-        return None
-    kind = spec.kind
-    if tag == "mgdm" and kind == "mtgc":
-        return families.tight_largest_group_total()
-    if tag in ("mdm", "mogm") and kind == "mtgc":
-        return families.group_median_family(max(2, n_hint // 2))
-    if tag == "ldm":
-        return families.single_group_two_clusters(max(2, n_hint))
-    if tag in ("rm", "nrm") and kind == "mtgc":
-        return families.three_group_center_mass(max(3, n_hint))
-    if tag == "rm" and kind == "magc":
-        return families.single_group_center_mass(max(3, n_hint))
-    if tag in ("mdm", "mgdm", "nrm") and kind == "magc":
-        return families.tight_average_family(max(2, n_hint // 2))
-    if tag == "kldm" and kind in ("iif1", "iif2"):
-        return families.balanced_split_pair(max(1, (n_hint - 2) // 2))
-    if tag == "mog" and kind == "mtgc":
-        return families.fixed_group_choice(2, 4)
-    return None
+    tight = _RULES[mechanism.tag].tight if isinstance(mechanism, MechanismId) else {}
+    build = tight.get(spec.kind)
+    return None if build is None else build(n_hint)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

@@ -15,9 +15,12 @@ from pathlib import Path
 
 from .instances import parse_instance_document
 from .mechanisms import parse_mechanism
-from .model import ABS_TOL, GroupedProfile
+from .model import GroupedProfile
 from .objectives import parse_objective
 from .oracle import optimize, ratio
+
+# Default absolute tolerance of every corpus check.
+ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
 """Facility placement rules mapping a GroupedProfile to a FacilityOutcome.
 
-Six rules ignore or use group structure directly (mdm, ldm, kldm, mgdm, rm,
-nrm); two more pick a group median in a fixed way (median_of_group_medians,
-median_of_group). Every even-sized median is the left median, i.e. the
-ceil(k/2)-th order statistic. Randomized rules return their lottery exactly;
-nothing here ever samples.
+Each built-in rule is registered once, as one row of `_RULES`: its tag, its
+function, whether it takes a parameter and its known tight instance families.
+Every even-sized median is the left median, i.e. the ceil(k/2)-th order
+statistic. Randomized rules return their lottery exactly; nothing here ever
+samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
+from . import families
 from .model import FacilityOutcome, GroupedProfile
+from .objectives import _KINDS
 
 
 def median_index(count: int) -> int:
@@ -83,15 +85,44 @@ def median_of_group(profile: GroupedProfile, j: int) -> FacilityOutcome:
     return FacilityOutcome.at(profile.group_medians[j - 1])
 
 
-# Tags of rules that take no parameter, and of those that require one.
-_PLAIN_TAGS = ("mdm", "ldm", "mgdm", "rm", "nrm", "mogm")
-_PARAM_TAGS = ("kldm", "mog")
+class _Rule(NamedTuple):
+    fn: Callable[..., FacilityOutcome]
+    takes_param: bool
+    # Objective kind -> a family tight for this rule, sized from a target agent count.
+    tight: dict[str, Callable[[int], GroupedProfile]]
 
+
+def _group_median_family(n: int) -> GroupedProfile:
+    return families.group_median_family(max(2, n // 2))
+
+
+def _average_family(n: int) -> GroupedProfile:
+    return families.tight_average_family(max(2, n // 2))
+
+
+def _center_mass_family(n: int) -> GroupedProfile:
+    return families.three_group_center_mass(max(3, n))
+
+
+# Every built-in rule, keyed by tag.
+_RULES: dict[str, _Rule] = {
+    "mdm": _Rule(mdm, False, {"mtgc": _group_median_family, "magc": _average_family}),
+    "ldm": _Rule(ldm, False, dict.fromkeys(_KINDS, lambda n: families.single_group_two_clusters(max(2, n)))),
+    "kldm": _Rule(
+        kldm, True, dict.fromkeys(("iif1", "iif2"), lambda n: families.balanced_split_pair(max(1, (n - 2) // 2)))
+    ),
+    "mgdm": _Rule(mgdm, False, {"mtgc": lambda n: families.tight_largest_group_total(), "magc": _average_family}),
+    "rm": _Rule(
+        rm, False, {"mtgc": _center_mass_family, "magc": lambda n: families.single_group_center_mass(max(3, n))}
+    ),
+    "nrm": _Rule(nrm, False, {"mtgc": _center_mass_family, "magc": _average_family}),
+    "mogm": _Rule(median_of_group_medians, False, {"mtgc": _group_median_family}),
+    "mog": _Rule(median_of_group, True, {"mtgc": lambda n: families.fixed_group_choice(2, 4)}),
+}
+
+# Each rule's function name, with underscores or hyphens, also names it.
 _ALIASES = {
-    "median-of-group-medians": "mogm",
-    "median_of_group_medians": "mogm",
-    "median-of-group": "mog",
-    "median_of_group": "mog",
+    alias: tag for tag, rule in _RULES.items() for alias in (rule.fn.__name__, rule.fn.__name__.replace("_", "-"))
 }
 
 
@@ -107,9 +138,9 @@ class MechanismId:
     param: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in _PLAIN_TAGS + _PARAM_TAGS:
+        if self.tag not in _RULES:
             raise ValueError(f"unknown mechanism tag {self.tag!r}")
-        if self.tag in _PARAM_TAGS:
+        if _RULES[self.tag].takes_param:
             if self.param is None or self.param < 1:
                 raise ValueError(f"mechanism {self.tag!r} needs a positive parameter")
         elif self.param is not None:
@@ -120,21 +151,8 @@ class MechanismId:
         return self.tag if self.param is None else f"{self.tag}:{self.param}"
 
     def apply(self, profile: GroupedProfile) -> FacilityOutcome:
-        if self.tag == "mdm":
-            return mdm(profile)
-        if self.tag == "ldm":
-            return ldm(profile)
-        if self.tag == "kldm":
-            return kldm(profile, self.param)
-        if self.tag == "mgdm":
-            return mgdm(profile)
-        if self.tag == "rm":
-            return rm(profile)
-        if self.tag == "nrm":
-            return nrm(profile)
-        if self.tag == "mogm":
-            return median_of_group_medians(profile)
-        return median_of_group(profile, self.param)
+        fn = _RULES[self.tag].fn
+        return fn(profile) if self.param is None else fn(profile, self.param)
 
 
 MechanismLike = Union[MechanismId, Callable[[GroupedProfile], FacilityOutcome]]

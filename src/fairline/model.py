@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
 
-# Absolute tolerance for value comparisons throughout the package.
-ABS_TOL = 1e-9
-# Tighter tolerance reserved for probability mass checks.
+# Tolerance for probability mass checks.
 PROB_TOL = 1e-12
 # Points closer than this on the line count as one (kinks, candidates, minimizers).
 MERGE_TOL = 1e-12
