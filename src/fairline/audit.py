@@ -1,7 +1,9 @@
 """Strategyproofness audits and mechanized lower-bound replays.
 
-The deviation search is candidate-based rather than exhaustive: on the line,
-the mechanisms implemented here change output only when a report crosses an
+`sp_audit` checks each agent deviating alone and `group_sp_audit` each maximal
+colocated set of two or more agents deviating jointly: each deviation once.
+The search is candidate-based rather than exhaustive: on the line, the
+mechanisms implemented here change output only when a report crosses an
 order statistic or a group median, and all such thresholds appear in the
 candidate set (other agents' locations, group medians, their reflections
 about the deviator, plus a wide uniform grid for robustness).
@@ -13,13 +15,14 @@ audited mechanisms; it equals the profile `build_profile` would give.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .families import balanced_split_pair, singleton_pair
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import MERGE_TOL, GroupedProfile, agent_cost
+from .model import MERGE_TOL, GroupedProfile, _merge_close, agent_cost
 from .objectives import ObjectiveSpec
 from .oracle import ratio
 
@@ -111,13 +114,8 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
     else:
         step = (hi - lo) / (resolution - 1)
         points.update(lo + i * step for i in range(resolution))
-    out: list[float] = []
-    for p in sorted(points):
-        if abs(p - own) <= MERGE_TOL:
-            continue
-        if not out or p - out[-1] > MERGE_TOL:
-            out.append(p)
-    return out
+    # Drop the points at the true location first, so none of them absorbs a candidate.
+    return _merge_close(sorted(p for p in points if abs(p - own) > MERGE_TOL))
 
 
 def _colocated_sets(profile: GroupedProfile) -> list[tuple[int, ...]]:
@@ -171,12 +169,13 @@ def sp_audit(mechanism: MechanismLike, profile: GroupedProfile, resolution: int)
 def batch_group_sp_audit(
     mechanisms: Sequence[MechanismLike], profile: GroupedProfile, resolution: int
 ) -> list[list[AuditFinding]]:
-    """Colocated-set joint-deviation audit of several mechanisms over one profile."""
-    return _audit_sets(mechanisms, profile, resolution, _colocated_sets(profile))
+    """Joint-deviation audit of several mechanisms by colocated sets of two or more agents."""
+    joint = [s for s in _colocated_sets(profile) if len(s) > 1]
+    return _audit_sets(mechanisms, profile, resolution, joint)
 
 
 def group_sp_audit(mechanism: MechanismLike, profile: GroupedProfile, resolution: int) -> list[AuditFinding]:
-    """All strict joint violations by maximal colocated agent sets."""
+    """All strict joint violations by maximal colocated sets of two or more agents."""
     return batch_group_sp_audit([mechanism], profile, resolution)[0]
 
 
@@ -201,26 +200,14 @@ def lower_bound_probe(
     """
     fn = as_mechanism_fn(mechanism)
     if spec.kind in ("mtgc", "magc", "alt"):
-        base = singleton_pair()
-
-        def rebuild(p: float) -> tuple[GroupedProfile, float]:
-            # Mirror the construction when the facility lands left of center.
-            if p >= 0.5:
-                return singleton_pair(0.0, p), 1.0
-            return singleton_pair(p, 1.0), 0.0
-
+        family = singleton_pair
     elif spec.kind in ("iif1", "iif2"):
         c = _MAX_REPLICATION if epsilon <= 0 else min(math.ceil(2.0 / epsilon), _MAX_REPLICATION)
-        base = balanced_split_pair(c)
-
-        def rebuild(p: float) -> tuple[GroupedProfile, float]:
-            if p >= 0.5:
-                return balanced_split_pair(c, 0.0, p), 1.0
-            return balanced_split_pair(c, p, 1.0), 0.0
-
+        family = functools.partial(balanced_split_pair, c)
     else:
         raise ValueError(f"no lower-bound construction for {spec.label}")
 
+    base = family(0.0, 1.0)
     base_report = ratio(base, fn, spec)
     if _meets(base_report.ratio, bound, epsilon):
         return ProbeVerdict.witness(base, base_report.ratio)
@@ -234,7 +221,8 @@ def lower_bound_probe(
             f"facility at {p} falls outside [0, 1]; no case of the construction applies"
         )
 
-    derived, target = rebuild(p)
+    # Mirror the construction when the facility lands left of center.
+    derived, target = (family(0.0, p), 1.0) if p >= 0.5 else (family(p, 1.0), 0.0)
     derived_report = ratio(derived, fn, spec)
     if _meets(derived_report.ratio, bound, epsilon):
         return ProbeVerdict.witness(derived, derived_report.ratio)

@@ -59,7 +59,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec = parse_objective(args.obj)
     outcome = as_mechanism_fn(mechanism)(profile)
     report = ratio_to(profile, outcome, spec, optimize(profile, spec))
-    joint = [f for f in group_sp_audit(mechanism, profile, args.resolution) if len(f.deviators) > 1]
+    joint = group_sp_audit(mechanism, profile, args.resolution)
     violations = len(sp_audit(mechanism, profile, args.resolution)) + len(joint)
     payload = {
         "instance": doc.name or Path(args.instance).stem,
@@ -117,10 +117,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     doc = load_instance(args.instance)
     mechanism = _resolve_mechanism(args.mech)
-    individual = sp_audit(mechanism, doc.profile, args.resolution)
-    # A one-agent colocated set only repeats an individual finding, so joint ones need two or more agents.
-    joint = [f for f in group_sp_audit(mechanism, doc.profile, args.resolution) if len(f.deviators) > 1]
-    findings = [("agent", f) for f in individual] + [("colocated set", f) for f in joint]
+    findings = [("agent", f) for f in sp_audit(mechanism, doc.profile, args.resolution)]
+    findings += [("colocated set", f) for f in group_sp_audit(mechanism, doc.profile, args.resolution)]
     if args.json:
         print(
             json.dumps(
@@ -152,7 +150,9 @@ def tight_family_profile(mechanism: MechanismLike, spec: ObjectiveSpec, n_hint: 
     """Known worst-case family for a (mechanism, objective) pair, sized near n_hint."""
     tight = _RULES[mechanism.tag].tight if isinstance(mechanism, MechanismId) else {}
     build = tight.get(spec.kind)
-    return None if build is None else build(n_hint)
+    if build is None:
+        return None
+    return build(n_hint) if mechanism.param is None else build(n_hint, mechanism.param)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from . import families
-from .model import FacilityOutcome, GroupedProfile
+from .model import FacilityOutcome, GroupedProfile, build_profile
 from .objectives import _KINDS
 
 
@@ -24,17 +24,15 @@ def median_index(count: int) -> int:
     return (count + 1) // 2
 
 
-def _left_median(sorted_locs: tuple[float, ...]) -> float:
-    return sorted_locs[median_index(len(sorted_locs)) - 1]
-
-
 def _three_point(left: float, right: float) -> FacilityOutcome:
     # Collapses to a single point when the endpoints coincide.
     if left == right:
         return FacilityOutcome.at(left)
-    return FacilityOutcome.lottery(
-        ((left, 0.25), (right, 0.25), ((left + right) / 2.0, 0.5))
-    )
+    mid = (left + right) / 2.0
+    if left < mid < right:  # sorted and distinct, so nothing for `lottery` to merge
+        return FacilityOutcome(((left, 0.25), (mid, 0.5), (right, 0.25)))
+    # The midpoint rounded onto an end point, or overflowed.
+    return FacilityOutcome.lottery(((left, 0.25), (right, 0.25), (mid, 0.5)))
 
 
 def mdm(profile: GroupedProfile) -> FacilityOutcome:
@@ -58,13 +56,12 @@ def mgdm(profile: GroupedProfile) -> FacilityOutcome:
     """Facility at the left median of the largest group, smallest index on ties."""
     sizes = profile.group_sizes
     g = sizes.index(max(sizes))
-    return FacilityOutcome.at(_left_median(profile.group_locations[g]))
+    return FacilityOutcome.at(profile.group_medians[g])
 
 
 def rm(profile: GroupedProfile) -> FacilityOutcome:
     """Quarter mass on each extreme agent, half on their midpoint."""
-    x1, xn = profile.span
-    return _three_point(x1, xn)
+    return _three_point(*profile.span)
 
 
 def nrm(profile: GroupedProfile) -> FacilityOutcome:
@@ -75,7 +72,7 @@ def nrm(profile: GroupedProfile) -> FacilityOutcome:
 
 def median_of_group_medians(profile: GroupedProfile) -> FacilityOutcome:
     """Facility at the left median of the multiset of group medians."""
-    return FacilityOutcome.at(_left_median(tuple(sorted(profile.group_medians))))
+    return FacilityOutcome.at(sorted(profile.group_medians)[median_index(profile.group_count) - 1])
 
 
 def median_of_group(profile: GroupedProfile, j: int) -> FacilityOutcome:
@@ -88,8 +85,8 @@ def median_of_group(profile: GroupedProfile, j: int) -> FacilityOutcome:
 class _Rule(NamedTuple):
     fn: Callable[..., FacilityOutcome]
     takes_param: bool
-    # Objective kind -> a family tight for this rule, sized from a target agent count.
-    tight: dict[str, Callable[[int], GroupedProfile]]
+    # Objective kind -> a family tight for this rule, built from a target agent count (and its parameter, if any).
+    tight: dict[str, Callable[..., GroupedProfile]]
 
 
 def _group_median_family(n: int) -> GroupedProfile:
@@ -104,20 +101,30 @@ def _center_mass_family(n: int) -> GroupedProfile:
     return families.three_group_center_mass(max(3, n))
 
 
+def _split_pair_family(n: int, k: int) -> GroupedProfile:
+    # At least k agents, so that the rule's k-th agent exists.
+    return families.balanced_split_pair(max(1, (n - 2) // 2, (k - 1) // 2))
+
+
+def _fixed_group_family(n: int, j: int) -> GroupedProfile:
+    # `fixed_group_choice(2, 4)` with group j split; other groups join the large one at 1 and never set the maximum.
+    others = [g for g in range(1, max(2, j) + 1) if g != j]
+    raw = [(x, j if g == 1 else others[0]) for x, g in families.fixed_group_choice(2, 4).raw()]
+    return build_profile(raw + [(1.0, g) for g in others[1:]], max(2, j))
+
+
 # Every built-in rule, keyed by tag.
 _RULES: dict[str, _Rule] = {
     "mdm": _Rule(mdm, False, {"mtgc": _group_median_family, "magc": _average_family}),
     "ldm": _Rule(ldm, False, dict.fromkeys(_KINDS, lambda n: families.single_group_two_clusters(max(2, n)))),
-    "kldm": _Rule(
-        kldm, True, dict.fromkeys(("iif1", "iif2"), lambda n: families.balanced_split_pair(max(1, (n - 2) // 2)))
-    ),
+    "kldm": _Rule(kldm, True, dict.fromkeys(("iif1", "iif2"), _split_pair_family)),
     "mgdm": _Rule(mgdm, False, {"mtgc": lambda n: families.tight_largest_group_total(), "magc": _average_family}),
     "rm": _Rule(
         rm, False, {"mtgc": _center_mass_family, "magc": lambda n: families.single_group_center_mass(max(3, n))}
     ),
     "nrm": _Rule(nrm, False, {"mtgc": _center_mass_family, "magc": _average_family}),
     "mogm": _Rule(median_of_group_medians, False, {"mtgc": _group_median_family}),
-    "mog": _Rule(median_of_group, True, {"mtgc": lambda n: families.fixed_group_choice(2, 4)}),
+    "mog": _Rule(median_of_group, True, {"mtgc": _fixed_group_family}),
 }
 
 # Each rule's function name, with underscores or hyphens, also names it.

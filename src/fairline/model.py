@@ -203,6 +203,15 @@ class GroupedProfile:
 _GROUP_OF = attrgetter("group")
 
 
+def _merge_close(sorted_points: Iterable[float]) -> list[float]:
+    """The sorted points, each dropped when within MERGE_TOL of the last one kept."""
+    out: list[float] = []
+    for p in sorted_points:
+        if not out or p - out[-1] > MERGE_TOL:
+            out.append(p)
+    return out
+
+
 def _left_median(sorted_locs: tuple[float, ...]) -> float:
     return sorted_locs[(len(sorted_locs) + 1) // 2 - 1]
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import MERGE_TOL, FacilityOutcome, GroupedProfile
+from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
 from .objectives import ObjectiveSpec, combine, constituents, eval_outcome, eval_point
 
 _GRID_CHUNK = 1 << 16
@@ -61,15 +61,7 @@ class RatioReport:
     ratio: float
 
 
-def _merge_close(sorted_points: list[float]) -> list[float]:
-    out: list[float] = []
-    for p in sorted_points:
-        if not out or p - out[-1] > MERGE_TOL:
-            out.append(p)
-    return out
-
-
-def breakpoints(profile: GroupedProfile, spec: ObjectiveSpec | None = None) -> tuple[float, ...]:
+def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
     """Kink grid: agent locations, consecutive same-group midpoints, extreme midpoints.
 
     For each group it holds the midpoint of every two consecutive members and
@@ -148,7 +140,7 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
                     _crossing_candidates(spec, pts[lo], fams[lo], pts[hi], fams[hi])
                 )
     else:
-        pts = list(breakpoints(profile, spec))
+        pts = list(breakpoints(profile))
         fam_prev = constituents(profile, spec, pts[0])
         candidates = [(pts[0], combine(spec, fam_prev))]
         for i in range(len(pts) - 1):

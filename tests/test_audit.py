@@ -11,6 +11,7 @@ from fairline import (
     MTGC,
     agent_cost,
     alt,
+    audit,
     build_profile,
     group_sp_audit,
     kldm,
@@ -101,13 +102,14 @@ class TestGroupSpAudit:
     def test_median_rule_clean_on_group_median_family(self):
         assert group_sp_audit(parse_mechanism("mdm"), group_median_family(3), 101) == []
 
-    def test_singleton_sets_reduce_to_individual_audit(self):
+    def test_lone_agents_are_left_to_the_individual_audit(self, monkeypatch):
+        # No two agents share a location, so there is no joint deviation to check.
         p = build_profile([(0, 1), (0.3, 1), (1, 2)], 2)
-        solo = sp_audit(mean_mechanism, p, 21)
-        joint = group_sp_audit(mean_mechanism, p, 21)
-        assert {(f.deviators, f.misreport) for f in joint} == {
-            (f.deviators, f.misreport) for f in solo
-        }
+        assert len(sp_audit(mean_mechanism, p, 101)) == 97
+        calls = []
+        monkeypatch.setattr(audit, "misreport_candidates", lambda *args: calls.append(args) or [])
+        assert group_sp_audit(mean_mechanism, p, 101) == []
+        assert calls == []
 
     def test_colocated_set_finding_spans_the_set(self):
         # Mean rule: both colocated agents at 1 gain by jointly exaggerating.

@@ -198,6 +198,27 @@ class TestSearch:
         )
         assert code == 0
 
+    def test_fixed_group_search_seeds_a_family_with_that_group(self, tmp_path):
+        report_path = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "search", "--mech", "mog:3", "--obj", "mtgc", "--m-min", "3", "--n-min", "3",
+                "--seed", "1", "--restarts", "1", "--iterations", "5", "--report", str(report_path),
+            ]
+        )
+        assert code == 0
+        # The seeded family alone has ratio 5 for the rule pinned to group 3.
+        assert json.loads(report_path.read_text())["best_ratio"] >= 5.0 - 1e-9
+
+    def test_kth_agent_search_seeds_a_family_with_k_agents(self, tmp_path):
+        code = run_cli(
+            [
+                "search", "--mech", "kldm:5", "--obj", "iif1", "--n", "5", "--seed", "1",
+                "--restarts", "1", "--iterations", "5", "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 0
+
     def test_exceeded_bound_exits_one(self, tmp_path):
         code = run_cli(
             [

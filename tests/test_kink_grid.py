@@ -15,7 +15,8 @@ import pytest
 
 from fairline import ALT_OBJECTIVES, IIF1, IIF2, build_profile, optimize
 from fairline.objectives import combine, constituents, eval_point
-from fairline.oracle import UnboundedObjectiveError, _crossing_candidates, _merge_close
+from fairline.model import _merge_close
+from fairline.oracle import UnboundedObjectiveError, _crossing_candidates
 
 NON_CONVEX = (IIF1, IIF2) + ALT_OBJECTIVES
 PROFILES = 10_000

@@ -1,9 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from fairline import (
+    FacilityOutcome,
     MechanismId,
+    OutcomeError,
     build_profile,
     kldm,
     ldm,
@@ -16,6 +20,7 @@ from fairline import (
     parse_mechanism,
     rm,
 )
+from fairline.mechanisms import _three_point
 from fairline.families import (
     balanced_split_pair,
     group_median_family,
@@ -119,6 +124,26 @@ class TestRandomizedRules:
 
     def test_nrm_on_center_mass(self):
         assert nrm(three_group_center_mass(10)).support == THREE_POINT
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (0.0, 1.0),
+            (-0.3, 0.7),
+            (1e-300, 2e-300),
+            (1.0, math.nextafter(1.0, math.inf)),  # the midpoint rounds onto an end point
+            (-5e-324, 0.0),
+            (-1.7e308, 1.7e308),
+        ],
+    )
+    def test_three_point_lottery_equals_merged_lottery(self, left, right):
+        want = FacilityOutcome.lottery(((left, 0.25), (right, 0.25), ((left + right) / 2.0, 0.5)))
+        got = _three_point(left, right)
+        assert [(pt.hex(), p.hex()) for pt, p in got.support] == [(pt.hex(), p.hex()) for pt, p in want.support]
+
+    def test_three_point_overflowed_midpoint_rejected(self):
+        with pytest.raises(OutcomeError):
+            _three_point(1.0e308, 1.7e308)
 
 
 class TestMechanismId:
