@@ -2,15 +2,24 @@
 
 `sp_audit` checks each agent deviating alone and `group_sp_audit` each maximal
 colocated set of two or more agents deviating jointly: each deviation once.
-The search is candidate-based rather than exhaustive: on the line, the
-mechanisms implemented here change output only when a report crosses an
-order statistic or a group median, and all such thresholds appear in the
-candidate set (other agents' locations, group medians, their reflections
-about the deviator, plus a wide uniform grid for robustness).
+Both try a finite set of misreports, chosen per mechanism:
+
+- Built-in rules (`MechanismId`) get their complete set, `threshold_candidates`:
+  the other agents' locations and the group medians, their reflections about
+  the deviator, and one point beyond each end of the span. A
+  generalized-median rule changes its output only when a report crosses
+  another agent's location, and the expected cost of `rm`/`nrm` is affine
+  between those points and their reflections, so the deviator's cost is
+  affine between consecutive points of this set and its true location. The
+  set holds every deviation these rules have.
+- Black-box callables get `misreport_candidates`: the same thresholds plus
+  `resolution` uniform points over the span widened by one span-width on
+  each side.
 
 Each candidate's deviated profile is spliced from the truthful one by
-`GroupedProfile.with_reports` rather than rebuilt, and shared across the
-audited mechanisms; it equals the profile `build_profile` would give.
+`GroupedProfile.with_reports` rather than rebuilt, once per candidate in the
+union of both sets, and shared across the audited mechanisms; it equals the
+profile `build_profile` would give.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .families import balanced_split_pair, singleton_pair
-from .mechanisms import MechanismLike, as_mechanism_fn
+from .mechanisms import MechanismId, MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, GroupedProfile, _merge_close, agent_cost
 from .objectives import ObjectiveSpec
 from .oracle import ratio
@@ -90,22 +99,53 @@ class ProbeVerdict:
         return self.kind == "inconclusive"
 
 
-def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -> list[float]:
-    """Candidate false reports for one agent, sorted, excluding the true location.
+def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float]]:
+    """The deviator's true location, and every report at which a built-in rule's output or cost can kink.
 
-    Union of the other agents' locations, every group median, reflections of
-    both about the deviator's true location, and `resolution` uniform points
-    over the span widened by one span-width on each side.
+    Those are the other agents' locations, every group median, and the
+    reflections of both about the true location.
     """
     if not 0 <= agent < profile.n:
         raise IndexError(f"agent index {agent} outside 0..{profile.n - 1}")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
     own = profile.agents[agent].location
     base: set[float] = {a.location for i, a in enumerate(profile.agents) if i != agent}
     base.update(profile.group_medians)
     points = set(base)
     points.update(2.0 * own - c for c in base)
+    return own, points
+
+
+def _candidates(points: set[float], own: float) -> list[float]:
+    # Drop the points at the true location first, so none of them absorbs a candidate.
+    return _merge_close(sorted(p for p in points if abs(p - own) > MERGE_TOL))
+
+
+def threshold_candidates(profile: GroupedProfile, agent: int) -> list[float]:
+    """Complete candidate false reports for one agent under every built-in rule, sorted.
+
+    The thresholds of `misreport_candidates`, plus the two ends of its
+    widened span and no grid: between consecutive points of this list and
+    the true location, which it excludes, a built-in rule's cost to the
+    deviator is affine.
+    """
+    own, points = _thresholds(profile, agent)
+    x1, xn = profile.span
+    width = xn - x1
+    points.update((x1 - width, xn + width))
+    return _candidates(points, own)
+
+
+def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -> list[float]:
+    """Candidate false reports for a black-box mechanism, sorted, excluding the true location.
+
+    Union of the other agents' locations, every group median, reflections of
+    both about the deviator's true location, and `resolution` uniform points
+    over the span widened by one span-width on each side (its left end alone
+    when `resolution` is 1).
+    """
+    own, points = _thresholds(profile, agent)
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
     x1, xn = profile.span
     width = xn - x1
     lo, hi = x1 - width, xn + width
@@ -114,8 +154,7 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
     else:
         step = (hi - lo) / (resolution - 1)
         points.update(lo + i * step for i in range(resolution))
-    # Drop the points at the true location first, so none of them absorbs a candidate.
-    return _merge_close(sorted(p for p in points if abs(p - own) > MERGE_TOL))
+    return _candidates(points, own)
 
 
 def _colocated_sets(profile: GroupedProfile) -> list[tuple[int, ...]]:
@@ -136,16 +175,24 @@ def _audit_sets(
     resolution: int,
     deviator_sets: list[tuple[int, ...]],
 ) -> list[list[AuditFinding]]:
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
     fns = [as_mechanism_fn(m) for m in mechanisms]
+    rules = [k for k, m in enumerate(mechanisms) if isinstance(m, MechanismId)]
+    callables = [k for k, m in enumerate(mechanisms) if not isinstance(m, MechanismId)]
     truthful = [fn(profile) for fn in fns]
     findings: list[list[AuditFinding]] = [[] for _ in fns]
     for deviators in deviator_sets:
         true_loc = profile.agents[deviators[0]].location
         t_costs = [agent_cost(out, true_loc) for out in truthful]
-        for cand in misreport_candidates(profile, deviators[0], resolution):
+        complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
+        grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
+        # Both sets come from one set of thresholds, so a value in both has one sign of zero.
+        for cand in sorted(complete | grid):
             deviated = profile.with_reports(deviators, cand)
-            for k, fn in enumerate(fns):
-                d_cost = agent_cost(fn(deviated), true_loc)
+            audited = (rules if cand in complete else []) + (callables if cand in grid else [])
+            for k in audited:
+                d_cost = agent_cost(fns[k](deviated), true_loc)
                 if d_cost < t_costs[k] - VIOLATION_TOL:
                     findings[k].append(
                         AuditFinding(deviators, true_loc, cand, t_costs[k], d_cost)

@@ -26,6 +26,10 @@ from .oracle import OptimalResult, optimize, ratio_to
 # Extension point used by tests to audit deliberately broken rules.
 EXTRA_MECHANISMS: dict[str, Callable] = {}
 
+_RESOLUTION_HELP = (
+    "misreport grid size for plugin rules only; built-in rules are always audited on their complete threshold set"
+)
+
 
 def _resolve_mechanism(text: str) -> MechanismLike:
     if text in EXTRA_MECHANISMS:
@@ -273,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON file (schema v1)")
     p.add_argument("--mech", required=True, help="mechanism label, e.g. mgdm or kldm:3")
     p.add_argument("--obj", required=True, help="objective label, e.g. mtgc or alt-b-average")
-    p.add_argument("--resolution", type=int, default=101, help="misreport grid resolution for the audit summary")
+    p.add_argument("--resolution", type=int, default=101, help=_RESOLUTION_HELP)
     p.add_argument("--normalize", action="store_true", help="rescale locations onto [0, 1] first")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_eval)
@@ -286,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="strategyproofness audit of one mechanism on one instance")
     p.add_argument("instance")
     p.add_argument("--mech", required=True)
-    p.add_argument("--resolution", type=int, default=101)
+    p.add_argument("--resolution", type=int, default=101, help=_RESOLUTION_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_audit)
 

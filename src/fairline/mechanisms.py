@@ -30,7 +30,7 @@ def _three_point(left: float, right: float) -> FacilityOutcome:
         return FacilityOutcome.at(left)
     mid = (left + right) / 2.0
     if left < mid < right:  # sorted and distinct, so nothing for `lottery` to merge
-        return FacilityOutcome(((left, 0.25), (mid, 0.5), (right, 0.25)))
+        return FacilityOutcome.three_point(left, mid, right)
     # The midpoint rounded onto an end point, or overflowed.
     return FacilityOutcome.lottery(((left, 0.25), (right, 0.25), (mid, 0.5)))
 

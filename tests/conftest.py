@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import settings
 import hypothesis.strategies as st
@@ -27,6 +29,29 @@ def grouped_profiles(draw, max_n: int = 8, max_m: int = 4) -> GroupedProfile:
         st.lists(st.integers(min_value=1, max_value=m), min_size=n - m, max_size=n - m)
     )
     return build_profile(list(zip(locs, labels)), m)
+
+
+def random_pairs(
+    rng: random.Random, max_n: int = 10, max_m: int = 3, digits: tuple = (0, 1, 2, None)
+) -> tuple[list[tuple[float, int]], int]:
+    """Seeded (location, group) pairs and group count, with colocated agents.
+
+    Locations are drawn on [-2, 2] and rounded to a number of decimals drawn
+    from `digits` (None: not rounded); about 30% copy an earlier agent's.
+    """
+    n = rng.randint(1, max_n)
+    m = rng.randint(1, min(max_m, n))
+    places = rng.choice(digits)
+    locs: list[float] = []
+    for _ in range(n):
+        if locs and rng.random() < 0.3:
+            locs.append(rng.choice(locs))  # colocated, often across groups
+        else:
+            x = rng.uniform(-2.0, 2.0)
+            locs.append(x if places is None else round(x, places))
+    labels = list(range(1, m + 1)) + [rng.randint(1, m) for _ in range(n - m)]
+    rng.shuffle(labels)
+    return list(zip(locs, labels)), m
 
 
 def mean_mechanism(profile: GroupedProfile) -> FacilityOutcome:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -27,7 +29,7 @@ from fairline.families import (
     group_median_family,
 )
 
-from conftest import mean_mechanism
+from conftest import mean_mechanism, random_pairs
 
 DETERMINISTIC = ["mdm", "ldm", "kldm:1", "kldm:2", "mgdm", "mogm", "mog:1", "mog:2"]
 
@@ -54,6 +56,29 @@ class TestMisreportCandidates:
             misreport_candidates(singleton_pair(), 5, 11)
         with pytest.raises(ValueError):
             misreport_candidates(singleton_pair(), 0, 0)
+        with pytest.raises(IndexError):
+            audit.threshold_candidates(singleton_pair(), 2)
+        with pytest.raises(ValueError):
+            sp_audit(parse_mechanism("mdm"), singleton_pair(), 0)
+
+    def test_grid_candidates_are_pinned(self):
+        # Black-box rules keep their candidate lists bit for bit; this digest pins them.
+        rng = random.Random(8)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            p = build_profile(*random_pairs(rng, max_n=9, digits=(0, 1, 2, 6, None)))
+            for agent in range(p.n):
+                for resolution in (1, 2, 7, 101):
+                    cands = misreport_candidates(p, agent, resolution)
+                    digest.update(" ".join(c.hex() for c in cands).encode() + b";")
+        assert digest.hexdigest() == "4950c7e0e7be8ced73557ce259856f28a908d7d3da83af19e97e96f6c0a1a797"
+
+    def test_complete_set_is_thresholds_and_span_ends(self):
+        p = build_profile([(0, 1), (0.25, 1), (1, 2)], 2)
+        # Others at 0.25 and 1 (also the group medians), reflections about 0 at -0.25
+        # and -1, and the span widened by its width to [-1, 2].
+        assert audit.threshold_candidates(p, 0) == [-1.0, -0.25, 0.25, 1.0, 2.0]
+        assert set(audit.threshold_candidates(p, 1)) < set(misreport_candidates(p, 1, 101))
 
 
 class TestSpAudit:
@@ -80,6 +105,27 @@ class TestSpAudit:
             assert truthful == pytest.approx(f.truthful_cost, abs=1e-12)
             assert deviating == pytest.approx(f.deviating_cost, abs=1e-12)
             assert deviating < truthful - 1e-9
+
+    def test_mean_rule_findings_unchanged_by_built_in_batchmates(self):
+        p = build_profile([(0, 1), (0.3, 1), (1, 2)], 2)
+        rules = [parse_mechanism(t) for t in ("mdm", "ldm", "mgdm", "rm", "nrm", "mogm", "kldm:2", "mog:2")]
+        alone = sp_audit(mean_mechanism, p, 101)
+        assert len(alone) == 97
+        mixed = audit.batch_sp_audit([*rules[:4], mean_mechanism, *rules[4:]], p, 101)
+        assert mixed[4] == alone
+        assert not any(mixed[:4] + mixed[5:])
+
+    def test_built_in_rules_alone_make_no_grid(self, monkeypatch):
+        calls = []
+        real = audit.misreport_candidates
+        monkeypatch.setattr(audit, "misreport_candidates", lambda *args: calls.append(args) or real(*args))
+        p = build_profile([(0, 1), (0.3, 1), (0.3, 2), (1, 2)], 2)
+        rules = [parse_mechanism(t) for t in ("mdm", "rm", "nrm")]
+        assert audit.batch_sp_audit(rules, p, 101) == [[], [], []]
+        assert audit.batch_group_sp_audit(rules, p, 101) == [[], [], []]
+        assert calls == []
+        audit.batch_sp_audit(rules + [mean_mechanism], p, 101)
+        assert len(calls) == p.n
 
     def test_coarse_findings_subset_of_fine(self):
         coarse = sp_audit(mean_mechanism, singleton_pair(), 3)

@@ -1,9 +1,10 @@
 """The spliced deviation path against a full rebuild.
 
 `GroupedProfile.with_reports` splices changed reports into an already sorted
-profile. `rebuild_audit_sets` is a test-only reference: the audit loop as it
-was before the splice, rebuilding every deviated profile with
-`build_profile`. Both must give equal profiles and exactly equal findings.
+profile. `rebuild_audit_sets` is a test-only reference: the audit loop run
+one mechanism at a time on its own candidate set, rebuilding every deviated
+profile with `build_profile`. Both must give equal profiles and exactly equal
+findings.
 """
 
 from __future__ import annotations
@@ -15,29 +16,13 @@ import pytest
 
 from fairline import InvalidLocationError, agent_cost, build_profile, parse_mechanism
 from fairline import audit
-from fairline.audit import VIOLATION_TOL, AuditFinding, misreport_candidates
-from fairline.mechanisms import as_mechanism_fn
+from fairline.audit import VIOLATION_TOL, AuditFinding, misreport_candidates, threshold_candidates
+from fairline.mechanisms import MechanismId, as_mechanism_fn
 
-from conftest import mean_mechanism
+from conftest import mean_mechanism, random_pairs
 
 PROFILES = 10_000
 VIEWS = ("agents", "locations", "group_locations", "group_sizes", "group_medians")
-
-
-def _random_pairs(rng: random.Random, max_n: int = 10, max_m: int = 3) -> tuple[list, int]:
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, min(max_m, n))
-    digits = rng.choice((0, 1, 2, None))
-    locs: list[float] = []
-    for _ in range(n):
-        if locs and rng.random() < 0.3:
-            locs.append(rng.choice(locs))  # colocated, often across groups
-        else:
-            x = rng.uniform(-2.0, 2.0)
-            locs.append(x if digits is None else round(x, digits))
-    labels = list(range(1, m + 1)) + [rng.randint(1, m) for _ in range(n - m)]
-    rng.shuffle(labels)
-    return list(zip(locs, labels)), m
 
 
 def _report(rng: random.Random, profile) -> float:
@@ -74,7 +59,7 @@ def _assert_same(got, want, context):
 def test_splice_matches_rebuild():
     rng = random.Random(5)
     for k in range(PROFILES):
-        pairs, m = _random_pairs(rng)
+        pairs, m = random_pairs(rng)
         profile = build_profile(pairs, m)
         i = rng.randrange(-profile.n, profile.n)
         report = _report(rng, profile)
@@ -93,7 +78,7 @@ def test_splice_matches_rebuild():
 def test_splice_of_a_splice_matches_rebuild():
     rng = random.Random(6)
     for _ in range(500):
-        pairs, m = _random_pairs(rng)
+        pairs, m = random_pairs(rng)
         profile = want = build_profile(pairs, m)
         for _ in range(5):
             i = rng.randrange(profile.n)
@@ -121,19 +106,27 @@ def test_overflowed_candidate_rejected():
 
 
 def rebuild_audit_sets(mechanisms, profile, resolution, deviator_sets):
-    """The audit loop with a full `build_profile` for every candidate."""
-    fns = [as_mechanism_fn(m) for m in mechanisms]
-    truthful = [fn(profile) for fn in fns]
-    findings = [[] for _ in fns]
-    for deviators in deviator_sets:
-        true_loc = profile.agents[deviators[0]].location
-        t_costs = [agent_cost(out, true_loc) for out in truthful]
-        for cand in misreport_candidates(profile, deviators[0], resolution):
-            deviated = _rebuilt(profile, deviators, cand)
-            for k, fn in enumerate(fns):
-                d_cost = agent_cost(fn(deviated), true_loc)
-                if d_cost < t_costs[k] - VIOLATION_TOL:
-                    findings[k].append(AuditFinding(deviators, true_loc, cand, t_costs[k], d_cost))
+    """The audit loop, one mechanism at a time, with a full `build_profile` for every candidate.
+
+    Built-in rules try their complete threshold set, callables the grid.
+    """
+    findings = []
+    for mechanism in mechanisms:
+        fn = as_mechanism_fn(mechanism)
+        truthful = fn(profile)
+        found = []
+        for deviators in deviator_sets:
+            true_loc = profile.agents[deviators[0]].location
+            t_cost = agent_cost(truthful, true_loc)
+            if isinstance(mechanism, MechanismId):
+                cands = threshold_candidates(profile, deviators[0])
+            else:
+                cands = misreport_candidates(profile, deviators[0], resolution)
+            for cand in cands:
+                d_cost = agent_cost(fn(_rebuilt(profile, deviators, cand)), true_loc)
+                if d_cost < t_cost - VIOLATION_TOL:
+                    found.append(AuditFinding(deviators, true_loc, cand, t_cost, d_cost))
+        findings.append(found)
     return findings
 
 
@@ -149,7 +142,7 @@ def test_audit_findings_match_rebuild(resolution, count):
     rng = random.Random(resolution)
     found = [0, 0]
     for _ in range(count):
-        pairs, m = _random_pairs(rng, max_n=8)
+        pairs, m = random_pairs(rng, max_n=8)
         profile = build_profile(pairs, m)
         rules = _all_rules(profile)
         singles = [(i,) for i in range(profile.n)]
