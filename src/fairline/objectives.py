@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, truediv
 
 from .model import FacilityOutcome, GroupedProfile
 
@@ -73,7 +76,12 @@ def parse_objective(text: str) -> ObjectiveSpec:
 
 
 def _total(locs: tuple[float, ...], y: float) -> float:
-    return sum(abs(y - x) for x in locs)
+    # A plain loop: on groups of a few members, a generator's frame costs two
+    # to three times the arithmetic.
+    total = 0.0
+    for x in locs:
+        total += abs(y - x)
+    return total
 
 
 def _spread(locs: tuple[float, ...], y: float) -> float:
@@ -89,13 +97,28 @@ def _spread(locs: tuple[float, ...], y: float) -> float:
     return maximum - minimum
 
 
-def group_stat(locs: tuple[float, ...], y: float, h: str) -> float:
-    """Per-group statistic used by the alt family."""
-    if h == "total":
-        return _total(locs, y)
-    if h == "average":
-        return _total(locs, y) / len(locs)
+def _farthest(locs: tuple[float, ...], y: float) -> float:
     return max(abs(y - locs[0]), abs(y - locs[-1]))
+
+
+def _assembler(spec: ObjectiveSpec, sizes: Sequence[int]) -> Callable[..., tuple[list[float], ...]]:
+    """How `spec` builds its constituent families from per-group statistics at one point.
+
+    The returned function takes (totals, spreads, farthest), each holding one
+    value per group in group order. It reads only the statistics the
+    objective combines, each at most once, so callers may pass lazy
+    iterables for the rest.
+    """
+    kind = spec.kind
+    if kind == "mtgc" or spec.h == "total":
+        return lambda totals, spreads, farthest: (list(totals),)
+    if spec.h == "max":
+        return lambda totals, spreads, farthest: (list(farthest),)
+    if kind == "iif1":
+        return lambda totals, spreads, farthest: (list(map(truediv, totals, sizes)), list(spreads))
+    if kind == "iif2":
+        return lambda totals, spreads, farthest: (list(map(add, map(truediv, totals, sizes), spreads)),)
+    return lambda totals, spreads, farthest: (list(map(truediv, totals, sizes)),)
 
 
 def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tuple[list[float], ...]:
@@ -107,19 +130,81 @@ def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tupl
     of an interpolated family is the objective on that stretch.
     """
     groups = profile.group_locations
-    kind = spec.kind
-    if kind == "mtgc":
-        return ([_total(locs, y) for locs in groups],)
-    if kind == "magc":
-        return ([_total(locs, y) / len(locs) for locs in groups],)
-    if kind == "iif1":
-        return (
-            [_total(locs, y) / len(locs) for locs in groups],
-            [_spread(locs, y) for locs in groups],
-        )
-    if kind == "iif2":
-        return ([_total(locs, y) / len(locs) + _spread(locs, y) for locs in groups],)
-    return ([group_stat(locs, y, spec.h) for locs in groups],)
+    at = repeat(y)
+    build = _assembler(spec, profile.group_sizes)
+    return build(map(_total, groups, at), map(_spread, groups, at), map(_farthest, groups, at))
+
+
+def _sweep_group(
+    locs: tuple[float, ...], ys: Sequence[float], reach: float, spreads: bool
+) -> tuple[list[float], list[float]]:
+    """A group's totals at each of the ascending points `ys`, and its spreads if asked.
+
+    One pointer walks the members once: `k` members lie strictly left of y,
+    and `left` sums their offsets from the first member. Offsets rather than
+    raw locations make the total exactly 0.0 when every member sits at y, and
+    keep its rounding relative to the group's extent. A spread uses the same
+    pointer for the nearest member and is bit-identical to `_spread`.
+    """
+    first, last = locs[0], locs[-1]
+    size = len(locs)
+    whole = 0.0
+    for x in locs:  # the same additions as `left`, so left == whole once k == size
+        whole += x - first
+    # Every running value is at most `whole` or size times `reach`, the
+    # extent of the profile and the points. Past the float maximum the offset
+    # sums overflow where the totals need not, so the group is summed directly.
+    if math.isinf(whole) or math.isinf(size * reach):
+        return [_total(locs, y) for y in ys], [_spread(locs, y) for y in ys] if spreads else []
+    totals: list[float] = []
+    spread_col: list[float] = []
+    k = 0
+    left = 0.0
+    for y in ys:
+        while k < size and locs[k] < y:
+            left += locs[k] - first
+            k += 1
+        d = y - first
+        totals.append((k * d - left) + ((whole - left) - (size - k) * d))
+        if spreads:
+            maximum = max(abs(d), abs(y - last))
+            if y <= first:
+                minimum = first - y
+            elif y >= last:
+                minimum = y - last
+            else:
+                minimum = min(locs[k] - y, y - locs[k - 1])
+            spread_col.append(maximum - minimum)
+    return totals, spread_col
+
+
+def constituents_along(
+    profile: GroupedProfile, spec: ObjectiveSpec, ys: Sequence[float]
+) -> Iterator[tuple[list[float], ...]]:
+    """`constituents` at each of the ascending points `ys`, in one pass per group.
+
+    Costs O(n + len(ys)·m) in all instead of O(n) per point. The families
+    come point by point, so a caller that needs only neighbouring pairs need
+    not hold them all. Spreads and farthest-member distances are
+    bit-identical to `constituents`'; totals and averages agree to rounding
+    (they come from running offset sums, not from a direct sum at each point)
+    and are exactly 0.0 for a group whose members all sit at the point.
+    """
+    if not ys:
+        return iter(())
+    groups = profile.group_locations
+    totals = spreads = farthest = repeat(())
+    if spec.h == "max":
+        farthest = zip(*([_farthest(locs, y) for y in ys] for locs in groups))
+    else:
+        x1, xn = profile.span
+        reach = max(xn, ys[-1]) - min(x1, ys[0])
+        with_spreads = spec.kind in ("iif1", "iif2")
+        swept = [_sweep_group(locs, ys, reach, with_spreads) for locs in groups]
+        totals = zip(*[col for col, _ in swept])
+        if with_spreads:
+            spreads = zip(*[col for _, col in swept])
+    return map(_assembler(spec, profile.group_sizes), totals, spreads, farthest)
 
 
 def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:

@@ -7,12 +7,18 @@ two extreme members: at most 2n points (`breakpoints`). Between consecutive
 points of that grid each constituent is a straight line, so an objective built
 from maxima of constituents can only attain its minimum at a grid point or at
 a crossing of two constituent lines inside an interval. Enumerating those
-candidates gives an exact global optimum. The constituents and the way an
-objective combines them come from `objectives.constituents` and
-`objectives.combine`, the same per-group evaluator behind `eval_point`, so the
+candidates gives an exact global optimum.
+
+`optimize` sweeps the grid left to right once: `objectives.constituents_along`
+walks each group's sorted members with one pointer, so every kink costs O(m)
+instead of an O(n) sum per group, and each interval's crossings cost O(m^2).
+A call is O(n·m^2) in all, against O(n^2) for a direct sum at every kink.
+The way an objective combines its constituents (`objectives.combine`) and
+which constituents it combines are the ones behind `eval_point`, so the
 rule's side and the optimum's side of every ratio share one copy of each
-formula. `grid_optimize` is the independent numpy cross-check and
-deliberately shares none of it.
+formula, and the value `optimize` reports is `eval_point` at the minimizer.
+`grid_optimize` is the independent numpy cross-check and deliberately shares
+none of it.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -30,9 +36,10 @@ import numpy as np
 
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
-from .objectives import ObjectiveSpec, combine, constituents, eval_outcome, eval_point
+from .objectives import ObjectiveSpec, combine, constituents_along, eval_outcome, eval_point
 
-_GRID_CHUNK = 1 << 16
+# Grid points per chunk, which bounds the (points x members) distance matrix.
+_GRID_CHUNK = 1 << 14
 
 
 class UnboundedObjectiveError(ValueError):
@@ -114,8 +121,11 @@ def _crossing_candidates(
 def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
     """Exact global minimum of the objective over facility locations.
 
-    Returns the leftmost minimizer; `minimizers` lists every evaluated
-    candidate tied with the optimum up to rounding noise.
+    Evaluates every kink in one left-to-right sweep (`constituents_along`),
+    then the crossings inside each interval: O(n·m^2) for n agents in m
+    groups. Returns the leftmost minimizer, with its value re-evaluated by
+    `eval_point`; `minimizers` lists every evaluated candidate tied with the
+    optimum up to rounding noise.
     """
     x1, xn = profile.span
     if xn - x1 <= 0.0:
@@ -129,7 +139,7 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
         # Convex objectives: kinks sit only at agent locations, and the true
         # minimum lies in one of the two intervals around the best kink.
         pts = _merge_close(sorted(set(profile.locations)))
-        fams = [constituents(profile, spec, y) for y in pts]
+        fams = list(constituents_along(profile, spec, pts))
         values = [combine(spec, f) for f in fams]
         i0 = values.index(min(values))
         candidates = list(zip(pts, values))
@@ -140,12 +150,11 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
                     _crossing_candidates(spec, pts[lo], fams[lo], pts[hi], fams[hi])
                 )
     else:
-        pts = list(breakpoints(profile))
-        fam_prev = constituents(profile, spec, pts[0])
+        pts = breakpoints(profile)
+        fams = constituents_along(profile, spec, pts)
+        fam_prev = next(fams)
         candidates = [(pts[0], combine(spec, fam_prev))]
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            fam_next = constituents(profile, spec, b)
+        for a, b, fam_next in zip(pts, pts[1:], fams):
             candidates.extend(_crossing_candidates(spec, a, fam_prev, b, fam_next))
             candidates.append((b, combine(spec, fam_next)))
             fam_prev = fam_next
@@ -174,13 +183,30 @@ def _distinct_weighted(profile: GroupedProfile) -> list[tuple[np.ndarray, np.nda
     return out
 
 
+def _distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|y - x| for each point y (rows) and member x (columns).
+
+    Filled a column at a time: numpy's broadcast over the short member axis
+    ran several times slower.
+    """
+    diffs = np.empty((len(ys), len(xs)))
+    for j, x in enumerate(xs):
+        np.subtract(ys, x, out=diffs[:, j])
+    return np.abs(diffs, out=diffs)
+
+
 def _grid_values(groups: list[tuple[np.ndarray, np.ndarray, int]], spec: ObjectiveSpec, ys: np.ndarray) -> np.ndarray:
     totals = []
     avgs = []
     spreads = []
     stats = []
     for xs, counts, size in groups:
-        diffs = np.abs(ys[:, None] - xs[None, :])
+        # Rounding keeps |y - x| monotone in x on either side of y, so the
+        # largest distance to the sorted members sits at an end member.
+        if spec.h == "max":
+            stats.append(np.maximum(np.abs(ys - xs[0]), np.abs(ys - xs[-1])))
+            continue
+        diffs = _distance_matrix(xs, ys)
         total = diffs @ counts
         if spec.kind == "mtgc":
             totals.append(total)
@@ -190,14 +216,16 @@ def _grid_values(groups: list[tuple[np.ndarray, np.ndarray, int]], spec: Objecti
             continue
         if spec.kind in ("iif1", "iif2"):
             avgs.append(total / size)
-            spreads.append(diffs.max(axis=1) - diffs.min(axis=1))
+            # Column by column too: a row reduction over the members is slow.
+            nearest = diffs[:, 0].copy()
+            for j in range(1, len(xs)):
+                np.minimum(nearest, diffs[:, j], out=nearest)
+            spreads.append(np.maximum(diffs[:, 0], diffs[:, -1]) - nearest)
             continue
         if spec.h == "total":
             stats.append(total)
-        elif spec.h == "average":
-            stats.append(total / size)
         else:
-            stats.append(diffs.max(axis=1))
+            stats.append(total / size)
     if spec.kind == "mtgc":
         return np.maximum.reduce(totals)
     if spec.kind == "magc":

@@ -34,7 +34,7 @@ from fairline.families import (
     tight_largest_group_total,
 )
 
-from conftest import grouped_profiles
+from conftest import grouped_profiles, random_pairs
 
 
 class TestBreakpoints:
@@ -202,6 +202,64 @@ def test_scalar_evaluator_matches_numpy_grid_pointwise(profile, fractions):
             assert math.isinf(got) == math.isinf(expected), (spec.label, y, got, expected)
             if not math.isinf(got):
                 assert abs(got - expected) <= 1e-9 * max(1.0, abs(got)), (spec.label, y, got, expected)
+
+
+def _grid_values_matrix(groups, spec, ys):
+    """`_grid_values` reducing the full (points x members) distance matrix, as it once did."""
+    totals = []
+    avgs = []
+    spreads = []
+    stats = []
+    for xs, counts, size in groups:
+        diffs = np.abs(ys[:, None] - xs[None, :])
+        total = diffs @ counts
+        if spec.kind == "mtgc":
+            totals.append(total)
+            continue
+        if spec.kind == "magc":
+            avgs.append(total / size)
+            continue
+        if spec.kind in ("iif1", "iif2"):
+            avgs.append(total / size)
+            spreads.append(diffs.max(axis=1) - diffs.min(axis=1))
+            continue
+        if spec.h == "total":
+            stats.append(total)
+        elif spec.h == "average":
+            stats.append(total / size)
+        else:
+            stats.append(diffs.max(axis=1))
+    if spec.kind == "mtgc":
+        return np.maximum.reduce(totals)
+    if spec.kind == "magc":
+        return np.maximum.reduce(avgs)
+    if spec.kind == "iif1":
+        return np.maximum.reduce(avgs) + np.maximum.reduce(spreads)
+    if spec.kind == "iif2":
+        return np.maximum.reduce([a + s for a, s in zip(avgs, spreads)])
+    hi = np.maximum.reduce(stats)
+    lo = np.minimum.reduce(stats)
+    if spec.form == "a":
+        return hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.where(hi == 0.0, 1.0, np.inf))
+    return vals
+
+
+def test_grid_values_match_full_matrix_reduction_bit_for_bit():
+    rng = random.Random(6006)
+    for k in range(300):
+        profile = build_profile(*random_pairs(rng, max_n=12, max_m=4))
+        x1, xn = profile.span
+        width = max(xn - x1, 1.0)
+        ys = np.concatenate(
+            [np.linspace(x1 - width, xn + width, 257), np.array(profile.locations), np.array(breakpoints(profile))]
+        )
+        weighted = _distinct_weighted(profile)
+        for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+            got = _grid_values(weighted, spec, ys)
+            want = _grid_values_matrix(weighted, spec, ys)
+            assert got.tobytes() == want.tobytes(), (k, spec.label, profile.raw())
 
 
 @given(grouped_profiles())

@@ -1,0 +1,162 @@
+"""The one-pass swept evaluator behind `optimize` against the direct sums.
+
+`constituents_along` gives `constituents` at every point of an ascending
+list in one left-to-right pass per group. Spreads and farthest-member
+distances must match the direct evaluator bit for bit; totals and averages
+come from running sums, so they match to rounding, except that a group whose
+members all sit at the point reads exactly 0.0.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from conftest import random_pairs
+from fairline import ALT_OBJECTIVES, IIF1, MAIN_OBJECTIVES, MTGC, build_profile, optimize, parse_objective
+from fairline import objectives
+from fairline.objectives import constituents, constituents_along
+from fairline.oracle import UnboundedObjectiveError, breakpoints
+from test_kink_grid import NON_CONVEX, PROFILES, _random_profile, all_pairs_optimum
+
+SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
+# Families each spec combines that hold only spreads or farthest distances.
+EXACT_FAMILIES = {"iif1": (1,), "alt-a-max": (0,), "alt-b-max": (0,)}
+
+
+def _profiles():
+    rng = random.Random(90_412)
+    profiles = [build_profile(*random_pairs(rng)) for _ in range(300)]
+    for n in (127, 130, 133):
+        raw = [(rng.gauss(0.5, 0.2), 1 + i % 4) for i in range(n)]
+        raw += [(raw[i][0], 1 + (i + 1) % 4) for i in range(0, n, 9)]  # colocated across groups
+        profiles.append(build_profile(raw, 4))
+    return profiles
+
+
+def test_swept_constituents_match_direct_ones():
+    for k, profile in enumerate(_profiles()):
+        ys = breakpoints(profile)
+        x1, xn = profile.span
+        tol = 1e-12 * profile.n * max(abs(x1), abs(xn))
+        for spec in SPECS:
+            swept = list(constituents_along(profile, spec, ys))
+            assert len(swept) == len(ys)
+            for y, got in zip(ys, swept):
+                want = constituents(profile, spec, y)
+                context = (k, spec.label, y, got, want)
+                assert len(got) == len(want), context
+                for f, (got_f, want_f) in enumerate(zip(got, want)):
+                    if f in EXACT_FAMILIES.get(spec.label, ()):
+                        assert got_f == want_f, context
+                    else:
+                        assert all(abs(g - w) <= tol for g, w in zip(got_f, want_f)), context
+
+
+def test_group_wholly_at_the_point_reads_exact_zero():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(400):
+        profile = build_profile(*random_pairs(rng, max_n=9, digits=(0, 1)))
+        ys = breakpoints(profile)
+        for spec in (MTGC, parse_objective("magc"), IIF1, parse_objective("alt-a-average")):
+            for y, fams in zip(ys, constituents_along(profile, spec, ys)):
+                for locs, value in zip(profile.group_locations, fams[0]):
+                    if locs[0] == locs[-1] == y:
+                        assert value == 0.0, (profile.raw(), spec.label, y, value)
+                        checked += 1
+    assert checked > 100
+    # Eight members at 0.1: their raw sum 0.7999999999999999 is not 8 * 0.1.
+    profile = build_profile([(0.1, 1)] * 8 + [(0.7, 2), (-1.3, 2)], 2)
+    (fams,) = constituents_along(profile, MTGC, [0.1])
+    assert fams[0][0] == 0.0
+
+
+def test_swept_points_may_lie_outside_the_members():
+    profile = build_profile([(0.0, 1), (1.0, 1), (5.0, 2)], 2)
+    ys = [-2.0, 0.0, 0.5, 3.0, 7.5]
+    for spec in SPECS:
+        assert list(constituents_along(profile, spec, ys)) == [constituents(profile, spec, y) for y in ys]
+    assert list(constituents_along(profile, MTGC, [])) == []
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        # Raw prefix sums of these locations overflow; offsets from each
+        # group's first member do not.
+        (
+            [(1e308, 1), (1.5e308, 1), (1.2e308, 2)],
+            {
+                "mtgc": (1e308, 5e307, (1e308, 1.2e308, 1.5e308)),
+                "iif1": (1.2e308, 3.5000000000000016e307, (1.2e308,)),
+                "alt-a-total": (1.5e308, 1.9999999999999992e307, (1.5e308,)),
+            },
+        ),
+        # Here the offsets themselves sum past the float maximum, while every
+        # total stays finite.
+        (
+            [(0.0, 1), (1e308, 1), (1e308, 1), (1e308, 2)],
+            {
+                "mtgc": (1e308, 1e308, (1e308,)),
+                "iif1": (5e307, 5e307, (5e307,)),
+                "alt-a-total": (5e307, 1e308, (5e307, 1e308)),
+            },
+        ),
+    ],
+)
+def test_near_float_max_profiles_keep_their_optima(raw, expected):
+    profile = build_profile(raw, 2)
+    for label, (location, value, minimizers) in expected.items():
+        got = optimize(profile, parse_objective(label))
+        assert (got.location, got.value, got.minimizers) == (location, value, minimizers), label
+
+
+def test_exact_zero_at_a_kink_is_found_exactly():
+    # The all-pairs reference evaluates each kink with direct sums. Wherever
+    # its minimizer is also a kink of `optimize`'s own grid and reads exactly
+    # 0.0, the swept optimum must read exactly 0.0 too. (A zero that only a
+    # crossing reaches is rounding luck either way.) A ratio (form "b") is
+    # never below 1.
+    rng = random.Random(20211)
+    zeros = 0
+    for k in range(PROFILES):
+        profile = _random_profile(rng)
+        spec = NON_CONVEX[k % len(NON_CONVEX)]
+        if spec.form == "b":
+            continue
+        try:
+            ref_y, ref_v = all_pairs_optimum(profile, spec)
+        except UnboundedObjectiveError:
+            continue
+        if ref_v != 0.0:
+            continue
+        if ref_y not in breakpoints(profile):
+            continue
+        zeros += 1
+        assert optimize(profile, spec).value == 0.0, (k, spec.label, profile.raw(), ref_y)
+    assert zeros > 50
+
+
+def test_optimize_sums_directly_only_for_its_reported_value(monkeypatch):
+    rng = random.Random(2000)
+    m = 4
+    profile = build_profile([(rng.uniform(-1.0, 1.0), 1 + i % m) for i in range(2000)], m)
+    calls = 0
+    direct = objectives._total
+
+    def counting_total(locs, y):
+        nonlocal calls
+        calls += 1
+        return direct(locs, y)
+
+    monkeypatch.setattr(objectives, "_total", counting_total)
+    for spec in (MTGC, IIF1, parse_objective("alt-a-average")):
+        calls = 0
+        result = optimize(profile, spec)
+        assert math.isfinite(result.value)
+        # One direct sum per group, for the final eval_point; the O(n) kinks
+        # were all swept.
+        assert calls <= 2 * m, (spec.label, calls)
