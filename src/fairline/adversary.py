@@ -84,8 +84,9 @@ def random_profile(config: SearchConfig, draw_index: int) -> GroupedProfile:
 def _perturb(profile: GroupedProfile, rng: random.Random, scale: float) -> GroupedProfile | None:
     """One local move: jitter a location (clamped to [0, 1]) or relabel a group.
 
-    Returns None when a relabel would empty a group; such moves are skipped,
-    not repaired.
+    Returns None when a relabel would empty a group or a clamped jitter leaves
+    the agent where it was; such moves are skipped, not repaired. A null
+    jitter would only copy the profile, whose ratio cannot beat its own.
     """
     n = profile.n
     if profile.group_count > 1 and rng.random() < 0.25:
@@ -96,8 +97,11 @@ def _perturb(profile: GroupedProfile, rng: random.Random, scale: float) -> Group
         choices = [g for g in range(1, profile.group_count + 1) if g != old]
         return profile.with_group(i, rng.choice(choices))
     i = rng.randrange(n)
-    moved = profile.agents[i].location + rng.uniform(-scale, scale)
-    return profile.with_location(i, min(1.0, max(0.0, moved)))
+    own = profile.agents[i].location
+    moved = min(1.0, max(0.0, own + rng.uniform(-scale, scale)))
+    if moved == own:
+        return None
+    return profile.with_location(i, moved)
 
 
 def hill_climb(

@@ -16,10 +16,11 @@ Both try a finite set of misreports, chosen per mechanism:
   `resolution` uniform points over the span widened by one span-width on
   each side.
 
-Each candidate's deviated profile is spliced from the truthful one by
-`GroupedProfile.with_reports` rather than rebuilt, once per candidate in the
-union of both sets, and shared across the audited mechanisms; it equals the
-profile `build_profile` would give.
+Each deviator set gets one deviation path, `GroupedProfile.deviations`: the
+deviators are taken out of the truthful profile once, and each candidate in
+the union of both sets is spliced back in as their report, not rebuilt. The
+deviated profile is shared across the audited mechanisms and equals the one
+`build_profile` would give.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ def _audit_sets(
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
         grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
+        deviate = profile.deviations(deviators)
         # Both sets come from one set of thresholds, so a value in both has one sign of zero.
         for cand in sorted(complete | grid):
-            deviated = profile.with_reports(deviators, cand)
+            deviated = deviate(cand)
             audited = (rules if cand in complete else []) + (callables if cand in grid else [])
             for k in audited:
                 d_cost = agent_cost(fns[k](deviated), true_loc)

@@ -244,7 +244,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         name = doc.name or path.stem
         optima: dict[ObjectiveSpec, OptimalResult] = {}
         for mechanism in mechanisms:
-            outcome = as_mechanism_fn(mechanism)(doc.profile)
+            try:
+                outcome = as_mechanism_fn(mechanism)(doc.profile)
+            except (IndexError, ValueError) as exc:
+                print(f"warning: skipping {mechanism_label(mechanism)} on {path}: {exc}", file=sys.stderr)
+                continue
             for spec in objectives:
                 if spec not in optima:
                     optima[spec] = optimize(doc.profile, spec)

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 # Tolerance for probability mass checks.
 PROB_TOL = 1e-12
@@ -127,61 +127,81 @@ class GroupedProfile:
         """New profile with every agent in `indices` reporting `location` instead.
 
         Equal to `build_profile` on the edited (location, group) pairs, down to
-        the order of tied agents, but splices the new reports into the sorted
-        views instead of re-sorting and re-validating: unchanged `Agent`s are
-        reused, and the deviators keep their groups, so every group stays
-        non-empty. Indices follow sequence indexing, negative ones included.
-        Raises InvalidLocationError if `location` is not finite.
+        the order of tied agents; see `deviations`, whose path this calls once.
+        Indices follow sequence indexing, negative ones included. Raises
+        InvalidLocationError if `location` is not finite.
         """
-        report = float(location)
-        old = self.agents
-        positions = range(len(old))
-        movers = sorted({positions[i] for i in indices})
-        # Deviators in the order a stable sort gives them: one report, so by
-        # (group, input position).
-        order = sorted((old[i].group, i) for i in movers)
-        new = [Agent(report, g) for g, _ in order]
-        ranks = [self._group_rank(i) for _, i in order]
-        agents = list(old)
-        locs = list(self.locations)
-        for i in reversed(movers):
-            del agents[i]
-            del locs[i]
-        # Positions are found among the unchanged agents; the k deviators
-        # placed before one all precede it, hence the `+ k`.
-        lo = bisect_left(locs, report)
-        hi = bisect_right(locs, report, lo)
-        spots = []
-        for k, (g, i) in enumerate(order):
-            g_lo = bisect_left(agents, g, lo, hi, key=_GROUP_OF)
-            g_hi = bisect_right(agents, g, g_lo, hi, key=_GROUP_OF)
-            spots.append(_tie_position(g_lo, g_hi, i - bisect_left(movers, i)) + k)
-        for spot, agent in zip(spots, new):
-            agents.insert(spot, agent)
-            locs.insert(spot, report)
+        return self.deviations(indices)(location)
 
-        group_locations = list(self.group_locations)
-        medians = list(self.group_medians)
-        runs: dict[int, list[int]] = {}
-        for (g, _), rank in zip(order, ranks):
-            runs.setdefault(g, []).append(rank)
-        for g, run_ranks in runs.items():
-            members = list(group_locations[g - 1])
-            for rank in reversed(run_ranks):
-                del members[rank]
-            g_lo = bisect_left(members, report)
-            g_hi = bisect_right(members, report, g_lo)
-            spots = [_tie_position(g_lo, g_hi, rank - k) + k for k, rank in enumerate(run_ranks)]
-            for spot in spots:
-                members.insert(spot, report)
-            group_locations[g - 1] = spliced = tuple(members)
-            medians[g - 1] = _left_median(spliced)
+    def deviations(self, indices: Iterable[int]) -> Callable[[float], "GroupedProfile"]:
+        """The deviation path of the agents in `indices`: report -> deviated profile.
 
-        out = object.__new__(GroupedProfile)
-        object.__setattr__(out, "agents", tuple(agents))
-        object.__setattr__(out, "group_count", self.group_count)
-        _set_views(out, tuple(locs), tuple(group_locations), self.group_sizes, tuple(medians))
-        return out
+        The deviators are taken out of the sorted views once, here; each call
+        of the returned function splices one report back in instead of
+        re-sorting and re-validating. Unchanged `Agent`s and the views of the
+        groups no deviator belongs to are reused, and the deviators keep
+        their groups, so every group stays non-empty. Each call returns what
+        `with_reports(indices, report)` specifies and changes no state, so
+        one path serves any number of reports, in any order.
+        """
+        positions = range(self.n)
+        movers = sorted(set(map(positions.__getitem__, indices)))
+        # Take the deviators out one by one. A deviator's `place` in what is
+        # left counts the unchanged agents before it in the input, the ones a
+        # stable sort keeps ahead of it among ties. All share one report, so
+        # sorted by (group, place) they come in the stable sort's order.
+        rest, rest_locs = self.agents, self.locations
+        order = []
+        for k, i in enumerate(movers):
+            place = i - k
+            order.append((rest[place].group, place, self._group_rank(i)))
+            rest = rest[:place] + rest[place + 1 :]
+            rest_locs = rest_locs[:place] + rest_locs[place + 1 :]
+        order.sort()
+        # The same per deviator group, on its member tuple: (group, unchanged
+        # members, each deviator's place among them).
+        moved: list[tuple[int, tuple[float, ...], tuple[int, ...]]] = []
+        for g, _, rank in order:
+            if moved and moved[-1][0] == g:
+                _, members, places = moved.pop()
+            else:
+                members, places = self.group_locations[g - 1], ()
+            place = rank - len(places)
+            moved.append((g, members[:place] + members[place + 1 :], places + (place,)))
+        group_count, group_locations, group_sizes, medians = (
+            self.group_count, self.group_locations, self.group_sizes, self.group_medians
+        )
+
+        def deviated(location: float) -> GroupedProfile:
+            report = float(location)
+            lo = bisect_left(rest_locs, report)
+            hi = bisect_right(rest_locs, report, lo)
+            # Each deviator goes in after the k placed before it.
+            agents, locs = rest, rest_locs
+            for k, (g, place, _) in enumerate(order):
+                if lo < hi:
+                    g_lo = bisect_left(rest, g, lo, hi, key=_GROUP_OF)
+                    spot = _tie_position(g_lo, bisect_right(rest, g, g_lo, hi, key=_GROUP_OF), place) + k
+                else:
+                    spot = lo + k
+                agents = agents[:spot] + (Agent(report, g),) + agents[spot:]
+                locs = locs[:spot] + (report,) + locs[spot:]
+            views, meds = group_locations, medians
+            for g, members, places in moved:
+                m_lo = bisect_left(members, report)
+                m_hi = bisect_right(members, report, m_lo)
+                spliced = members
+                for k, place in enumerate(places):
+                    spot = _tie_position(m_lo, m_hi, place) + k
+                    spliced = spliced[:spot] + (report,) + spliced[spot:]
+                views = views[: g - 1] + (spliced,) + views[g:]
+                meds = meds[: g - 1] + (_left_median(spliced),) + meds[g:]
+            out = object.__new__(GroupedProfile)
+            out.__dict__.update(agents=agents, group_count=group_count)
+            _set_views(out, locs, views, group_sizes, meds)
+            return out
+
+        return deviated
 
     def _group_rank(self, index: int) -> int:
         """Position of agent `index` among the members of its group."""
@@ -232,10 +252,13 @@ def _set_views(
     group_sizes: tuple[int, ...],
     group_medians: tuple[float, ...],
 ) -> None:
-    object.__setattr__(profile, "locations", locations)
-    object.__setattr__(profile, "group_locations", group_locations)
-    object.__setattr__(profile, "group_sizes", group_sizes)
-    object.__setattr__(profile, "group_medians", group_medians)
+    # A frozen dataclass refuses `setattr`; its instance dict does not.
+    profile.__dict__.update(
+        locations=locations,
+        group_locations=group_locations,
+        group_sizes=group_sizes,
+        group_medians=group_medians,
+    )
 
 
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:

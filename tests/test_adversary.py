@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from fairline import (
@@ -5,11 +8,15 @@ from fairline import (
     MTGC,
     SearchConfig,
     bound_conformance,
+    build_profile,
+    cli,
     hill_climb,
     parse_mechanism,
+    parse_objective,
     random_profile,
     ratio,
 )
+from fairline.adversary import _perturb
 from fairline.families import single_group_two_clusters, tight_largest_group_total
 
 
@@ -110,3 +117,51 @@ class TestBoundConformance:
         )
         assert not ok
         assert report.best_ratio > 2.5 + 1e-9
+
+
+class TestPerturb:
+    def test_null_jitter_is_skipped_after_the_same_draws(self):
+        # One group, so every move is a jitter; at 0 and 1 about half of them clamp to a no-op.
+        profile = build_profile([(0.0, 1), (1.0, 1)], 1)
+        rng, replay = random.Random(3), random.Random(3)
+        skipped = 0
+        for _ in range(200):
+            candidate = _perturb(profile, rng, 0.1)
+            i = replay.randrange(profile.n)
+            own = profile.agents[i].location
+            moved = min(1.0, max(0.0, own + replay.uniform(-0.1, 0.1)))
+            if moved == own:
+                assert candidate is None
+                skipped += 1
+            else:
+                assert candidate == profile.with_location(i, moved)
+        assert 0 < skipped < 200
+        assert rng.random() == replay.random()
+
+
+# Search reports of the six proven (rule, objective) pairs, seeded at their
+# tight families, under the `fairline search` defaults with m up to 4.
+PROVEN = {
+    ("mgdm", "mtgc"): 3.0,
+    ("mdm", "magc"): 3.0,
+    ("mgdm", "magc"): 3.0,
+    ("nrm", "magc"): 2.0,
+    ("kldm:1", "iif1"): 4.0,
+    ("kldm:1", "iif2"): 4.0,
+}
+REPORTS_DIGEST = "30314327089ceee25c908233a0014e62bf84c468545ce626fe06536ddb71bfba"
+
+
+def test_conformance_reports_are_pinned():
+    digest = hashlib.sha256()
+    for (rule, objective), bound in PROVEN.items():
+        mechanism, spec = parse_mechanism(rule), parse_objective(objective)
+        family = cli.tight_family_profile(mechanism, spec, 8)
+        for seed in range(4):
+            config = SearchConfig(
+                seed=seed, n_range=(2, 8), m_range=(1, 4), restarts=6, iterations=300, perturbation_scale=0.15
+            )
+            ok, report = bound_conformance(mechanism, spec, bound, config, (family,))
+            best = report.best_profile
+            digest.update(repr((ok, report.best_ratio, best.raw(), best.group_count, report.trace)).encode())
+    assert digest.hexdigest() == REPORTS_DIGEST

@@ -299,6 +299,24 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert len(rows) == 1
 
+    def test_inapplicable_rule_skipped_with_warning(self, capsys):
+        # mog:2 needs a second group, which two of the packaged instances lack.
+        code = run_cli(["sweep", str(fixture_dir()), "--mech", "mdm,mog:2", "--obj", "mtgc"])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        instances = sorted(p.stem for p in fixture_dir().glob("*.json"))
+        assert len(instances) == 12
+        assert sorted(r["instance"] for r in rows if r["mechanism"] == "mdm") == instances
+        single_group = [name for name in instances if load_instance(fixture_dir() / f"{name}.json").profile.group_count == 1]
+        assert single_group
+        assert sorted(r["instance"] for r in rows if r["mechanism"] == "mog:2") == sorted(
+            set(instances) - set(single_group)
+        )
+        warnings = captured.err.splitlines()
+        assert len(warnings) == len(single_group)
+        assert all(line.startswith("warning: skipping mog:2 on ") for line in warnings)
+
     def test_empty_directory_exits_one(self, tmp_path):
         assert run_cli(["sweep", str(tmp_path), "--mech", "mdm", "--obj", "mtgc"]) == 1
 

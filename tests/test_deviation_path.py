@@ -1,7 +1,8 @@
 """The spliced deviation path against a full rebuild.
 
-`GroupedProfile.with_reports` splices changed reports into an already sorted
-profile. `rebuild_audit_sets` is a test-only reference: the audit loop run
+`GroupedProfile.deviations` takes a deviator set out of an already sorted
+profile once and splices each report back in; `with_reports` is one call of
+such a path. `rebuild_audit_sets` is a test-only reference: the audit loop run
 one mechanism at a time on its own candidate set, rebuilding every deviated
 profile with `build_profile`. Both must give equal profiles and exactly equal
 findings.
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from fairline import InvalidLocationError, agent_cost, build_profile, parse_mechanism
+from fairline import GroupedProfile, InvalidLocationError, agent_cost, build_profile, parse_mechanism
 from fairline import audit
 from fairline.audit import VIOLATION_TOL, AuditFinding, misreport_candidates, threshold_candidates
 from fairline.mechanisms import MechanismId, as_mechanism_fn
@@ -154,3 +155,51 @@ def test_audit_findings_match_rebuild(resolution, count):
         assert audit.batch_group_sp_audit(rules, profile, resolution) == want, pairs
         found[1] += sum(map(len, want))
     assert all(found)  # the mean rule keeps both comparisons from being vacuous
+
+
+def _views(profile):
+    return [getattr(profile, view) for view in VIEWS], _signs(profile)
+
+
+def _deviator_sets(profile):
+    singles = [(i,) for i in range(profile.n)]
+    return singles + [s for s in audit._colocated_sets(profile) if len(s) > 1]
+
+
+def test_one_path_serves_every_report_of_a_deviator_set():
+    rng = random.Random(7)
+    for k in range(150):
+        pairs, m = random_pairs(rng, max_n=8)
+        profile = build_profile(pairs, m)
+        before = _views(profile)
+        for deviators in _deviator_sets(profile):
+            path = profile.deviations(deviators)
+            ascending = sorted(
+                set(threshold_candidates(profile, deviators[0])) | set(misreport_candidates(profile, deviators[0], 7))
+            )
+            # Ties with agents of every group, and both signs of zero.
+            ties = [*profile.locations, 0.0, -0.0]
+            for report in [*ascending, *reversed(ascending), *ties, *ties, *ascending[:1] * 2]:
+                context = (k, pairs, deviators, report)
+                _assert_same(path(report), _rebuilt(profile, deviators, report), context)
+            for report in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidLocationError):
+                    path(report)
+        assert _views(profile) == before, pairs
+
+
+def test_audit_builds_one_path_per_deviator_set(monkeypatch):
+    built = []
+    original = GroupedProfile.deviations
+
+    def counted(self, indices):
+        built.append(tuple(indices))
+        return original(self, indices)
+
+    monkeypatch.setattr(GroupedProfile, "deviations", counted)
+    profile = build_profile([(0, 1), (0.3, 2), (0.3, 1), (1, 2), (1, 3)], 3)
+    audit.batch_sp_audit(_all_rules(profile), profile, 11)
+    assert built == [(i,) for i in range(profile.n)]
+    built.clear()
+    audit.batch_group_sp_audit(_all_rules(profile), profile, 11)
+    assert built == [(1, 2), (3, 4)]
