@@ -189,7 +189,6 @@ def _audit_sets(
         complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
         grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
         deviate = profile.deviations(deviators)
-        # Both sets come from one set of thresholds, so a value in both has one sign of zero.
         for cand in sorted(complete | grid):
             deviated = deviate(cand)
             audited = (rules if cand in complete else []) + (callables if cand in grid else [])

@@ -53,15 +53,20 @@ class Agent:
     def __post_init__(self) -> None:
         if not math.isfinite(self.location):
             raise InvalidLocationError(f"agent location must be finite, got {self.location!r}")
+        if self.location == 0:
+            # One zero: -0.0 reads as +0.0, so agents that compare equal are identical.
+            object.__setattr__(self, "location", abs(self.location))
 
 
 @dataclass(frozen=True)
 class GroupedProfile:
     """Agents sorted ascending by (location, group), partitioned into groups 1..group_count.
 
-    Colocated agents are ordered by group label and then by input order, which
-    makes every mechanism built on top of this type deterministic. The derived
-    views (`locations`, `group_locations`, `group_sizes`, `group_medians`) are
+    Colocated agents are ordered by group label, which makes every mechanism
+    built on top of this type deterministic. Locations hold one zero: `Agent`
+    reads -0.0 as 0.0, so agents with equal (location, group) are identical
+    values and their order cannot be observed. The derived views
+    (`locations`, `group_locations`, `group_sizes`, `group_medians`) are
     computed once, when the profile is made.
     """
 
@@ -126,10 +131,11 @@ class GroupedProfile:
     def with_reports(self, indices: Iterable[int], location: float) -> "GroupedProfile":
         """New profile with every agent in `indices` reporting `location` instead.
 
-        Equal to `build_profile` on the edited (location, group) pairs, down to
-        the order of tied agents; see `deviations`, whose path this calls once.
-        Indices follow sequence indexing, negative ones included. Raises
-        InvalidLocationError if `location` is not finite.
+        Equal to `build_profile` on the edited (location, group) pairs, views
+        and signs of zero included; see `deviations`, whose path this calls
+        once. Indices follow sequence indexing, negative ones included. Raises
+        InvalidLocationError if `location` is not finite, even when `indices`
+        is empty.
         """
         return self.deviations(indices)(location)
 
@@ -142,58 +148,53 @@ class GroupedProfile:
         groups no deviator belongs to are reused, and the deviators keep
         their groups, so every group stays non-empty. Each call returns what
         `with_reports(indices, report)` specifies and changes no state, so
-        one path serves any number of reports, in any order.
+        one path serves any number of reports, in any order. A report of
+        -0.0 goes in as 0.0, as in every profile.
         """
         positions = range(self.n)
         movers = sorted(set(map(positions.__getitem__, indices)))
-        # Take the deviators out one by one. A deviator's `place` in what is
-        # left counts the unchanged agents before it in the input, the ones a
-        # stable sort keeps ahead of it among ties. All share one report, so
-        # sorted by (group, place) they come in the stable sort's order.
+        # Agents with equal (location, group) are identical, so which of them
+        # a deviator was does not matter: it is taken out of its group's
+        # members at any entry equal to its location.
         rest, rest_locs = self.agents, self.locations
-        order = []
+        taken = []
         for k, i in enumerate(movers):
             place = i - k
-            order.append((rest[place].group, place, self._group_rank(i)))
+            taken.append((rest[place].group, rest[place].location))
             rest = rest[:place] + rest[place + 1 :]
             rest_locs = rest_locs[:place] + rest_locs[place + 1 :]
-        order.sort()
-        # The same per deviator group, on its member tuple: (group, unchanged
-        # members, each deviator's place among them).
-        moved: list[tuple[int, tuple[float, ...], tuple[int, ...]]] = []
-        for g, _, rank in order:
+        taken.sort()
+        # Per deviator group: (group, unchanged members, deviator count).
+        moved: list[tuple[int, tuple[float, ...], int]] = []
+        for g, x in taken:
             if moved and moved[-1][0] == g:
-                _, members, places = moved.pop()
+                _, members, count = moved.pop()
             else:
-                members, places = self.group_locations[g - 1], ()
-            place = rank - len(places)
-            moved.append((g, members[:place] + members[place + 1 :], places + (place,)))
+                members, count = self.group_locations[g - 1], 0
+            spot = bisect_left(members, x)
+            moved.append((g, members[:spot] + members[spot + 1 :], count + 1))
         group_count, group_locations, group_sizes, medians = (
             self.group_count, self.group_locations, self.group_sizes, self.group_medians
         )
 
         def deviated(location: float) -> GroupedProfile:
-            report = float(location)
+            # Adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is.
+            report = float(location) + 0.0
+            if not math.isfinite(report):
+                raise InvalidLocationError(f"agent location must be finite, got {report!r}")
             lo = bisect_left(rest_locs, report)
             hi = bisect_right(rest_locs, report, lo)
-            # Each deviator goes in after the k placed before it.
-            agents, locs = rest, rest_locs
-            for k, (g, place, _) in enumerate(order):
-                if lo < hi:
-                    g_lo = bisect_left(rest, g, lo, hi, key=_GROUP_OF)
-                    spot = _tie_position(g_lo, bisect_right(rest, g, g_lo, hi, key=_GROUP_OF), place) + k
-                else:
-                    spot = lo + k
-                agents = agents[:spot] + (Agent(report, g),) + agents[spot:]
-                locs = locs[:spot] + (report,) + locs[spot:]
-            views, meds = group_locations, medians
-            for g, members, places in moved:
-                m_lo = bisect_left(members, report)
-                m_hi = bisect_right(members, report, m_lo)
-                spliced = members
-                for k, place in enumerate(places):
-                    spot = _tie_position(m_lo, m_hi, place) + k
-                    spliced = spliced[:spot] + (report,) + spliced[spot:]
+            # Each group's deviators go in after the unchanged agents equal to
+            # them and after the deviators of lower groups placed before them.
+            agents, locs, views, meds = rest, rest_locs, group_locations, medians
+            placed = 0
+            for g, members, count in moved:
+                spot = bisect_right(rest, g, lo, hi, key=_GROUP_OF) + placed
+                agents = agents[:spot] + (Agent(report, g),) * count + agents[spot:]
+                locs = locs[:spot] + (report,) * count + locs[spot:]
+                placed += count
+                spot = bisect_left(members, report)
+                spliced = members[:spot] + (report,) * count + members[spot:]
                 views = views[: g - 1] + (spliced,) + views[g:]
                 meds = meds[: g - 1] + (_left_median(spliced),) + meds[g:]
             out = object.__new__(GroupedProfile)
@@ -202,16 +203,6 @@ class GroupedProfile:
             return out
 
         return deviated
-
-    def _group_rank(self, index: int) -> int:
-        """Position of agent `index` among the members of its group."""
-        a = self.agents[index]
-        rank = bisect_left(self.group_locations[a.group - 1], a.location)
-        j = index - 1
-        while j >= 0 and self.locations[j] == a.location:
-            rank += self.agents[j].group == a.group
-            j -= 1
-        return rank
 
     def with_group(self, index: int, group: int) -> "GroupedProfile":
         """New profile with agent `index` relabelled to `group`."""
@@ -236,15 +227,6 @@ def _left_median(sorted_locs: tuple[float, ...]) -> float:
     return sorted_locs[(len(sorted_locs) + 1) // 2 - 1]
 
 
-def _tie_position(lo: int, hi: int, preceding: int) -> int:
-    """Insert index for a new entry among equal keys at [lo, hi) of a sorted list.
-
-    `preceding` counts the unchanged entries that came before the deviator in
-    the input; a stable sort keeps those of them with an equal key ahead of it.
-    """
-    return min(max(lo, preceding), hi)
-
-
 def _set_views(
     profile: GroupedProfile,
     locations: tuple[float, ...],
@@ -264,8 +246,8 @@ def _set_views(
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:
     """Validate and sort (location, group) pairs into a GroupedProfile.
 
-    Sorting is by location with ties broken by (group, input order); the sort
-    is stable so equal (location, group) pairs keep their input order.
+    Sorting is by location with ties broken by group; a -0.0 location is
+    stored as 0.0, so equal (location, group) pairs are identical agents.
     Raises EmptyGroupError if some group in 1..group_count has no member and
     InvalidLocationError on non-finite locations.
     """

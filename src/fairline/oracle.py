@@ -31,12 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
 from .objectives import ObjectiveSpec, combine, constituents_along, eval_outcome, eval_point
+
+# numpy serves only the grid cross-check below, which imports it on first use
+# so that `import fairline` does not.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Grid points per chunk, which bounds the (points x members) distance matrix.
 _GRID_CHUNK = 1 << 14
@@ -172,6 +176,8 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
 
 
 def _distinct_weighted(profile: GroupedProfile) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    import numpy as np
+
     out = []
     for locs in profile.group_locations:
         distinct: dict[float, int] = {}
@@ -189,6 +195,8 @@ def _distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     Filled a column at a time: numpy's broadcast over the short member axis
     ran several times slower.
     """
+    import numpy as np
+
     diffs = np.empty((len(ys), len(xs)))
     for j, x in enumerate(xs):
         np.subtract(ys, x, out=diffs[:, j])
@@ -196,6 +204,8 @@ def _distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _grid_values(groups: list[tuple[np.ndarray, np.ndarray, int]], spec: ObjectiveSpec, ys: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     totals = []
     avgs = []
     spreads = []
@@ -245,6 +255,8 @@ def _grid_values(groups: list[tuple[np.ndarray, np.ndarray, int]], spec: Objecti
 
 def grid_optimize(profile: GroupedProfile, spec: ObjectiveSpec, resolution: int) -> OptimalResult:
     """Brute-force minimum over a uniform grid of `resolution` points on the span."""
+    import numpy as np
+
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x1, xn = profile.span

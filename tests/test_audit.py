@@ -71,7 +71,7 @@ class TestMisreportCandidates:
                 for resolution in (1, 2, 7, 101):
                     cands = misreport_candidates(p, agent, resolution)
                     digest.update(" ".join(c.hex() for c in cands).encode() + b";")
-        assert digest.hexdigest() == "4950c7e0e7be8ced73557ce259856f28a908d7d3da83af19e97e96f6c0a1a797"
+        assert digest.hexdigest() == "6fb58b604920737cc341e15d7138cb3f11cc27810f480076221c398f0abcd528"
 
     def test_complete_set_is_thresholds_and_span_ends(self):
         p = build_profile([(0, 1), (0.25, 1), (1, 2)], 2)

@@ -15,8 +15,9 @@ import random
 
 import pytest
 
-from fairline import GroupedProfile, InvalidLocationError, agent_cost, build_profile, parse_mechanism
+from fairline import Agent, GroupedProfile, InvalidLocationError, agent_cost, build_profile, parse_mechanism
 from fairline import audit
+from fairline.instances import parse_instance, serialize_instance
 from fairline.audit import VIOLATION_TOL, AuditFinding, misreport_candidates, threshold_candidates
 from fairline.mechanisms import MechanismId, as_mechanism_fn
 
@@ -96,6 +97,40 @@ def test_nonfinite_report_rejected(report):
         profile.with_location(0, report)
     with pytest.raises(InvalidLocationError):
         profile.with_reports((1, 2), report)
+
+
+@pytest.mark.parametrize("report", [math.nan, math.inf, -math.inf])
+def test_nonfinite_report_rejected_with_no_deviator(report):
+    # The path checks the report itself, not only through the Agents it builds.
+    profile = build_profile([(0, 1), (1, 1)], 1)
+    with pytest.raises(InvalidLocationError):
+        profile.with_reports((), report)
+    with pytest.raises(InvalidLocationError):
+        profile.deviations(())(report)
+
+
+def _zero_signs(profile) -> set[float]:
+    floats = [a.location for a in profile.agents] + [*profile.locations, *profile.group_medians]
+    for locs in profile.group_locations:
+        floats.extend(locs)
+    return {math.copysign(1.0, x) for x in floats if x == 0.0}
+
+
+def test_profiles_hold_one_zero():
+    assert math.copysign(1.0, Agent(-0.0, 1).location) == 1.0
+    pairs = [(-0.0, 1), (0.0, 1), (-0.0, 2)]
+    built = build_profile(pairs, 2)
+    direct = GroupedProfile(tuple(Agent(x, g) for x, g in pairs), 2)
+    for profile in (built, direct):
+        assert _zero_signs(profile) == {1.0}
+        text = serialize_instance(profile)
+        assert "-0.0" not in text
+        assert parse_instance(text) == profile and _zero_signs(parse_instance(text)) == {1.0}
+    profile = build_profile([(-1, 1), (0.5, 2), (2, 1)], 2)
+    for i in range(profile.n):
+        assert _zero_signs(profile.with_location(i, -0.0)) == {1.0}
+    for deviators in [(), *_deviator_sets(built)]:
+        assert _zero_signs(built.deviations(deviators)(-0.0)) == {1.0}
 
 
 def test_overflowed_candidate_rejected():

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -278,3 +281,12 @@ def test_optimum_lies_between_extreme_group_medians(profile):
     for spec in (MTGC, MAGC):
         opt = optimize(profile, spec)
         assert ml - 1e-9 <= opt.location <= mr + 1e-9
+
+
+def test_import_leaves_numpy_unloaded():
+    # Only the grid cross-check needs numpy; it imports it on first use.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fairline, fairline.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
