@@ -91,13 +91,13 @@ def _perturb(profile: GroupedProfile, rng: random.Random, scale: float) -> Group
     n = profile.n
     if profile.group_count > 1 and rng.random() < 0.25:
         i = rng.randrange(n)
-        old = profile.agents[i].group
+        old = profile.raw()[i][1]
         if profile.group_sizes[old - 1] <= 1:
             return None
         choices = [g for g in range(1, profile.group_count + 1) if g != old]
         return profile.with_group(i, rng.choice(choices))
     i = rng.randrange(n)
-    own = profile.agents[i].location
+    own = profile.locations[i]
     moved = min(1.0, max(0.0, own + rng.uniform(-scale, scale)))
     if moved == own:
         return None

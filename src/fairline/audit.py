@@ -5,8 +5,8 @@ colocated set of two or more agents deviating jointly: each deviation once.
 Both try a finite set of misreports, chosen per mechanism:
 
 - Built-in rules (`MechanismId`) get their complete set, `threshold_candidates`:
-  the other agents' locations and the group medians, their reflections about
-  the deviator, and one point beyond each end of the span. A
+  the other agents' locations (every group median among them), their
+  reflections about the deviator, and one point beyond each end of the span. A
   generalized-median rule changes its output only when a report crosses
   another agent's location, and the expected cost of `rm`/`nrm` is affine
   between those points and their reflections, so the deviator's cost is
@@ -103,16 +103,15 @@ class ProbeVerdict:
 def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float]]:
     """The deviator's true location, and every report at which a built-in rule's output or cost can kink.
 
-    Those are the other agents' locations, every group median, and the
-    reflections of both about the true location.
+    Those are the agents' locations, which hold every group median, and
+    their reflections about the true location. The true location is among
+    them; `_candidates` drops it.
     """
     if not 0 <= agent < profile.n:
         raise IndexError(f"agent index {agent} outside 0..{profile.n - 1}")
-    own = profile.agents[agent].location
-    base: set[float] = {a.location for i, a in enumerate(profile.agents) if i != agent}
-    base.update(profile.group_medians)
-    points = set(base)
-    points.update(2.0 * own - c for c in base)
+    own = profile.locations[agent]
+    points = set(profile.locations)
+    points.update([2.0 * own - c for c in points])
     return own, points
 
 
@@ -139,10 +138,10 @@ def threshold_candidates(profile: GroupedProfile, agent: int) -> list[float]:
 def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -> list[float]:
     """Candidate false reports for a black-box mechanism, sorted, excluding the true location.
 
-    Union of the other agents' locations, every group median, reflections of
-    both about the deviator's true location, and `resolution` uniform points
-    over the span widened by one span-width on each side (its left end alone
-    when `resolution` is 1).
+    Union of the other agents' locations (every group median among them),
+    their reflections about the deviator's true location, and `resolution`
+    uniform points over the span widened by one span-width on each side (its
+    left end alone when `resolution` is 1).
     """
     own, points = _thresholds(profile, agent)
     if resolution < 1:
@@ -184,7 +183,7 @@ def _audit_sets(
     truthful = [fn(profile) for fn in fns]
     findings: list[list[AuditFinding]] = [[] for _ in fns]
     for deviators in deviator_sets:
-        true_loc = profile.agents[deviators[0]].location
+        true_loc = profile.locations[deviators[0]]
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
         grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
@@ -275,7 +274,7 @@ def lower_bound_probe(
     if _meets(derived_report.ratio, bound, epsilon):
         return ProbeVerdict.witness(derived, derived_report.ratio)
 
-    movers = tuple(i for i, a in enumerate(derived.agents) if a.location == p)
+    movers = tuple(i for i, x in enumerate(derived.locations) if x == p)
     if movers:
         truthful_cost = agent_cost(fn(derived), p)
         deviating_cost = agent_cost(base_outcome, p)

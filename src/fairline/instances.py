@@ -57,7 +57,7 @@ def parse_instance_document(text: str) -> InstanceDocument:
         for loc in locs:
             if isinstance(loc, bool) or not isinstance(loc, (int, float)):
                 raise ParseError(f"group {j} holds a non-numeric location {loc!r}")
-            raw.append((float(loc), j))
+            raw.append((loc, j))
     name = data.get("name")
     note = data.get("note")
     for field, value in (("name", name), ("note", note)):

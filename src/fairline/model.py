@@ -1,20 +1,22 @@
 """Core domain types: grouped agent profiles, facility outcomes, cost primitives.
 
-A profile is an ordered collection of agents on the real line, each carrying a
-group label in 1..m where the groups partition the agents. An outcome is either
-a single facility point or a finite lottery over points; every cost in this
-package is an expected distance to the facility.
+A profile is agents on the real line divided into groups 1..m; it is stored
+as each group's sorted member locations. An outcome is either a single
+facility point or a finite lottery over points; every cost in this package is
+an expected distance to the facility.
 
 All types are immutable and all functions are pure, so everything here is safe
-to share across threads without coordination.
+to share across threads without coordination. The one lazily computed value,
+`GroupedProfile.agents`, depends only on the profile, so a raced first read
+computes the same tuple twice.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
 from typing import Callable, Iterable
 
 # Tolerance for probability mass checks.
@@ -43,6 +45,18 @@ class OutcomeError(ValueError):
     """A facility outcome violates one of its invariants."""
 
 
+def _location(value: float) -> float:
+    """`value` as a finite float, with -0.0 read as 0.0, so that equal locations are identical."""
+    try:
+        # Adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is.
+        location = float(value) + 0.0
+    except OverflowError:
+        raise InvalidLocationError("agent location must be finite, got a number too large for a float") from None
+    if not math.isfinite(location):
+        raise InvalidLocationError(f"agent location must be finite, got {location!r}")
+    return location
+
+
 @dataclass(frozen=True)
 class Agent:
     """One participant: a location on the line plus a group label."""
@@ -51,69 +65,58 @@ class Agent:
     group: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.location):
-            raise InvalidLocationError(f"agent location must be finite, got {self.location!r}")
-        if self.location == 0:
-            # One zero: -0.0 reads as +0.0, so agents that compare equal are identical.
-            object.__setattr__(self, "location", abs(self.location))
+        object.__setattr__(self, "location", _location(self.location))
 
 
 @dataclass(frozen=True)
 class GroupedProfile:
-    """Agents sorted ascending by (location, group), partitioned into groups 1..group_count.
+    """Agents on the line in groups 1..group_count, stored as each group's sorted members.
 
-    Colocated agents are ordered by group label, which makes every mechanism
-    built on top of this type deterministic. Locations hold one zero: `Agent`
-    reads -0.0 as 0.0, so agents with equal (location, group) are identical
-    values and their order cannot be observed. The derived views
-    (`locations`, `group_locations`, `group_sizes`, `group_medians`) are
-    computed once, when the profile is made.
+    `GroupedProfile(group_locations)` takes one ascending sequence of finite
+    locations per group, none of them empty; -0.0 is stored as 0.0, so agents
+    with equal (location, group) are identical values. The derived views
+    (`locations`, `group_sizes`, `group_medians`) are computed once, when the
+    profile is made. `agents` lists the agents sorted by (location, group),
+    which makes every mechanism built on top of this type deterministic; it
+    is computed on its first read.
     """
 
-    agents: tuple[Agent, ...]
-    group_count: int
-    locations: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # Member locations per group, each tuple sorted ascending.
-    group_locations: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    group_locations: tuple[tuple[float, ...], ...]
+    locations: tuple[float, ...] = field(init=False, repr=False, compare=False)
     group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Left median of every group's member locations.
     group_medians: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.group_count < 1:
-            raise ProfileError("group_count must be at least 1")
-        if not self.agents:
-            raise ProfileError("a profile needs at least one agent")
-        buckets: list[list[float]] = [[] for _ in range(self.group_count)]
-        prev: tuple[float, int] | None = None
-        for a in self.agents:
-            if not 1 <= a.group <= self.group_count:
-                raise ProfileError(f"group {a.group} outside 1..{self.group_count}")
-            key = (a.location, a.group)
-            if prev is not None and key < prev:
-                raise ProfileError("agents must be sorted by (location, group)")
-            prev = key
-            buckets[a.group - 1].append(a.location)
-        for j, bucket in enumerate(buckets, start=1):
-            if not bucket:
+        groups = tuple(tuple(map(_location, members)) for members in self.group_locations)
+        if not groups:
+            raise ProfileError("a profile needs at least one group")
+        for j, members in enumerate(groups, start=1):
+            if not members:
                 raise EmptyGroupError(j)
-        group_locations = tuple(tuple(b) for b in buckets)
-        _set_views(
-            self,
-            tuple(a.location for a in self.agents),
-            group_locations,
-            tuple(len(b) for b in buckets),
-            tuple(_left_median(locs) for locs in group_locations),
-        )
+            if any(b < a for a, b in zip(members, members[1:])):
+                raise ProfileError(f"group {j}'s members must be sorted ascending")
+        locations = tuple(sorted(x for members in groups for x in members))
+        _set_views(self, groups, locations, tuple(map(len, groups)), tuple(map(_left_median, groups)))
+
+    @property
+    def group_count(self) -> int:
+        return len(self.group_locations)
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return len(self.locations)
 
     @property
     def span(self) -> tuple[float, float]:
         """Leftmost and rightmost agent locations."""
         return self.locations[0], self.locations[-1]
+
+    @cached_property
+    def agents(self) -> tuple[Agent, ...]:
+        """The agents, sorted by (location, group)."""
+        return tuple(Agent(x, g) for x, g in self.raw())
 
     def members(self, group: int) -> tuple[float, ...]:
         if not 1 <= group <= self.group_count:
@@ -122,7 +125,7 @@ class GroupedProfile:
 
     def raw(self) -> list[tuple[float, int]]:
         """(location, group) pairs, in profile order."""
-        return [(a.location, a.group) for a in self.agents]
+        return sorted((x, g) for g, members in enumerate(self.group_locations, start=1) for x in members)
 
     def with_location(self, index: int, location: float) -> "GroupedProfile":
         """New profile with agent `index` reporting `location` instead."""
@@ -142,65 +145,49 @@ class GroupedProfile:
     def deviations(self, indices: Iterable[int]) -> Callable[[float], "GroupedProfile"]:
         """The deviation path of the agents in `indices`: report -> deviated profile.
 
-        The deviators are taken out of the sorted views once, here; each call
-        of the returned function splices one report back in instead of
-        re-sorting and re-validating. Unchanged `Agent`s and the views of the
-        groups no deviator belongs to are reused, and the deviators keep
+        The deviators are taken out of `locations` and out of their groups'
+        members once, here; each call of the returned function inserts copies
+        of one report instead of re-sorting and re-validating. The views of
+        the groups no deviator belongs to are reused, and the deviators keep
         their groups, so every group stays non-empty. Each call returns what
         `with_reports(indices, report)` specifies and changes no state, so
         one path serves any number of reports, in any order. A report of
         -0.0 goes in as 0.0, as in every profile.
         """
-        positions = range(self.n)
-        movers = sorted(set(map(positions.__getitem__, indices)))
-        # Agents with equal (location, group) are identical, so which of them
-        # a deviator was does not matter: it is taken out of its group's
-        # members at any entry equal to its location.
-        rest, rest_locs = self.agents, self.locations
-        taken = []
+        locs = self.locations
+        movers = sorted(set(map(range(len(locs)).__getitem__, indices)))
+        # Equal locations are identical floats, so a report goes in at any
+        # entry equal to it, and a deviator comes out at any entry equal to
+        # its location. Colocated agents are ordered by group, so a
+        # deviator's rank among them names its group.
+        rest_locs, rest = locs, list(self.group_locations)
+        counts: dict[int, int] = {}
         for k, i in enumerate(movers):
-            place = i - k
-            taken.append((rest[place].group, rest[place].location))
-            rest = rest[:place] + rest[place + 1 :]
-            rest_locs = rest_locs[:place] + rest_locs[place + 1 :]
-        taken.sort()
+            x = locs[i]
+            rank = i - bisect_left(locs, x)
+            for g, members in enumerate(self.group_locations, start=1):
+                rank -= members.count(x)
+                if rank < 0:
+                    break
+            counts[g] = counts.get(g, 0) + 1
+            rest_locs = rest_locs[: i - k] + rest_locs[i - k + 1 :]
+            spot = bisect_left(rest[g - 1], x)
+            rest[g - 1] = rest[g - 1][:spot] + rest[g - 1][spot + 1 :]
         # Per deviator group: (group, unchanged members, deviator count).
-        moved: list[tuple[int, tuple[float, ...], int]] = []
-        for g, x in taken:
-            if moved and moved[-1][0] == g:
-                _, members, count = moved.pop()
-            else:
-                members, count = self.group_locations[g - 1], 0
-            spot = bisect_left(members, x)
-            moved.append((g, members[:spot] + members[spot + 1 :], count + 1))
-        group_count, group_locations, group_sizes, medians = (
-            self.group_count, self.group_locations, self.group_sizes, self.group_medians
-        )
+        moved = [(g, rest[g - 1], count) for g, count in counts.items()]
+        group_locations, group_sizes, medians = self.group_locations, self.group_sizes, self.group_medians
 
         def deviated(location: float) -> GroupedProfile:
-            # Adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is.
-            report = float(location) + 0.0
-            if not math.isfinite(report):
-                raise InvalidLocationError(f"agent location must be finite, got {report!r}")
-            lo = bisect_left(rest_locs, report)
-            hi = bisect_right(rest_locs, report, lo)
-            # Each group's deviators go in after the unchanged agents equal to
-            # them and after the deviators of lower groups placed before them.
-            agents, locs, views, meds = rest, rest_locs, group_locations, medians
-            placed = 0
+            report = _location(location)
+            spot = bisect_left(rest_locs, report)
+            locs = rest_locs[:spot] + (report,) * len(movers) + rest_locs[spot:]
+            views, meds = group_locations, medians
             for g, members, count in moved:
-                spot = bisect_right(rest, g, lo, hi, key=_GROUP_OF) + placed
-                agents = agents[:spot] + (Agent(report, g),) * count + agents[spot:]
-                locs = locs[:spot] + (report,) * count + locs[spot:]
-                placed += count
                 spot = bisect_left(members, report)
                 spliced = members[:spot] + (report,) * count + members[spot:]
                 views = views[: g - 1] + (spliced,) + views[g:]
                 meds = meds[: g - 1] + (_left_median(spliced),) + meds[g:]
-            out = object.__new__(GroupedProfile)
-            out.__dict__.update(agents=agents, group_count=group_count)
-            _set_views(out, locs, views, group_sizes, meds)
-            return out
+            return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes, meds)
 
         return deviated
 
@@ -209,9 +196,6 @@ class GroupedProfile:
         pairs = self.raw()
         pairs[index] = (pairs[index][0], int(group))
         return build_profile(pairs, self.group_count)
-
-
-_GROUP_OF = attrgetter("group")
 
 
 def _merge_close(sorted_points: Iterable[float]) -> list[float]:
@@ -229,31 +213,36 @@ def _left_median(sorted_locs: tuple[float, ...]) -> float:
 
 def _set_views(
     profile: GroupedProfile,
-    locations: tuple[float, ...],
     group_locations: tuple[tuple[float, ...], ...],
+    locations: tuple[float, ...],
     group_sizes: tuple[int, ...],
     group_medians: tuple[float, ...],
-) -> None:
+) -> GroupedProfile:
     # A frozen dataclass refuses `setattr`; its instance dict does not.
     profile.__dict__.update(
-        locations=locations,
         group_locations=group_locations,
+        locations=locations,
         group_sizes=group_sizes,
         group_medians=group_medians,
     )
+    return profile
 
 
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:
-    """Validate and sort (location, group) pairs into a GroupedProfile.
+    """Validate (location, group) pairs and sort them into a GroupedProfile.
 
-    Sorting is by location with ties broken by group; a -0.0 location is
-    stored as 0.0, so equal (location, group) pairs are identical agents.
-    Raises EmptyGroupError if some group in 1..group_count has no member and
-    InvalidLocationError on non-finite locations.
+    A -0.0 location is stored as 0.0, so equal (location, group) pairs are
+    identical agents. Raises EmptyGroupError if some group in
+    1..group_count has no member, InvalidLocationError on a location that is
+    not a finite float, and ProfileError on a group outside 1..group_count.
     """
-    agents = [Agent(float(loc), int(grp)) for loc, grp in raw]
-    agents.sort(key=lambda a: (a.location, a.group))
-    return GroupedProfile(tuple(agents), group_count)
+    buckets: list[list[float]] = [[] for _ in range(group_count)]
+    for loc, grp in raw:
+        x, g = _location(loc), int(grp)
+        if not 1 <= g <= group_count:
+            raise ProfileError(f"group {g} outside 1..{group_count}")
+        buckets[g - 1].append(x)
+    return GroupedProfile(tuple(tuple(sorted(b)) for b in buckets))
 
 
 @dataclass(frozen=True)

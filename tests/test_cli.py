@@ -90,6 +90,13 @@ class TestEval:
         path.write_text('{"schema_version":2,"groups":[[1]]}')
         assert run_cli(["eval", str(path), "--mech", "mdm", "--obj", "mtgc"]) == 2
 
+    def test_oversized_integer_location_exits_two(self, tmp_path, capsys):
+        # A JSON integer too large for a float is refused like 1e400, not a traceback.
+        path = tmp_path / "huge.json"
+        path.write_text('{"schema_version":1,"groups":[[1' + "0" * 400 + ']]}')
+        assert run_cli(["eval", str(path), "--mech", "mdm", "--obj", "mtgc"]) == 2
+        assert capsys.readouterr().err.startswith("error: agent location must be finite")
+
     def test_usage_error_exits_two(self):
         assert run_cli(["eval"]) == 2
         assert run_cli(["no-such-command"]) == 2

@@ -120,7 +120,7 @@ def test_profiles_hold_one_zero():
     assert math.copysign(1.0, Agent(-0.0, 1).location) == 1.0
     pairs = [(-0.0, 1), (0.0, 1), (-0.0, 2)]
     built = build_profile(pairs, 2)
-    direct = GroupedProfile(tuple(Agent(x, g) for x, g in pairs), 2)
+    direct = GroupedProfile(((-0.0, 0.0), (-0.0,)))
     for profile in (built, direct):
         assert _zero_signs(profile) == {1.0}
         text = serialize_instance(profile)

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from fairline import (
     EmptyGroupError,
     FacilityOutcome,
+    GroupedProfile,
     InvalidLocationError,
     OutcomeError,
     ProfileError,
@@ -41,6 +42,10 @@ class TestBuildProfile:
             build_profile([(math.nan, 1)], 1)
         with pytest.raises(InvalidLocationError):
             build_profile([(math.inf, 1)], 1)
+
+    def test_oversized_location_rejected(self):
+        with pytest.raises(InvalidLocationError):
+            build_profile([(10**400, 1)], 1)
 
     def test_bad_group_index_rejected(self):
         with pytest.raises(ProfileError):
@@ -78,6 +83,47 @@ class TestBuildProfile:
         assert q.group_sizes == (2, 1)
         with pytest.raises(EmptyGroupError):
             p.with_group(0, 2)
+
+    def test_oversized_report_rejected(self):
+        p = build_profile([(0, 1), (1, 2)], 2)
+        with pytest.raises(InvalidLocationError):
+            p.with_location(0, 10**400)
+
+
+class TestDirectConstructor:
+    def test_no_group_rejected(self):
+        with pytest.raises(ProfileError):
+            GroupedProfile(())
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(EmptyGroupError) as exc:
+            GroupedProfile(((0.0,), ()))
+        assert exc.value.group == 2
+
+    def test_unsorted_group_rejected(self):
+        with pytest.raises(ProfileError):
+            GroupedProfile(((0.0, 1.0), (2.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "location", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "oversized"]
+    )
+    def test_invalid_location_rejected(self, location):
+        with pytest.raises(InvalidLocationError):
+            GroupedProfile(((0.0,), (location,)))
+
+    def test_negative_zero_stored_as_zero(self):
+        p = GroupedProfile(((-0.0,), (-0.0, 1)))
+        assert [math.copysign(1.0, x) for x in p.locations] == [1.0, 1.0, 1.0]
+        assert all(math.copysign(1.0, x) == 1.0 for group in p.group_locations for x in group)
+
+    def test_equals_built_profile(self):
+        pairs = [(1, 2), (0.5, 1), (-0.0, 2), (0.5, 1), (3, 1)]
+        built = build_profile(pairs, 2)
+        direct = GroupedProfile(((0.5, 0.5, 3.0), (0.0, 1.0)))
+        assert direct == built and hash(direct) == hash(built)
+        for view in ("agents", "locations", "group_locations", "group_sizes", "group_medians"):
+            assert getattr(direct, view) == getattr(built, view), view
+        assert direct.raw() == built.raw() and direct.group_count == 2
 
 
 class TestOutcome:
