@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable
 
 # Tolerance for probability mass checks.
@@ -97,8 +98,7 @@ class GroupedProfile:
                 raise EmptyGroupError(j)
             if any(b < a for a, b in zip(members, members[1:])):
                 raise ProfileError(f"group {j}'s members must be sorted ascending")
-        locations = tuple(sorted(x for members in groups for x in members))
-        _set_views(self, groups, locations, tuple(map(len, groups)), tuple(map(_left_median, groups)))
+        _set_sorted_views(self, groups)
 
     @property
     def group_count(self) -> int:
@@ -228,6 +228,12 @@ def _set_views(
     return profile
 
 
+def _set_sorted_views(profile: GroupedProfile, groups: tuple[tuple[float, ...], ...]) -> GroupedProfile:
+    """Set every view of `profile` from `groups`: non-empty, sorted tuples of `_location` values."""
+    locations = tuple(sorted(chain.from_iterable(groups)))
+    return _set_views(profile, groups, locations, tuple(map(len, groups)), tuple(map(_left_median, groups)))
+
+
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:
     """Validate (location, group) pairs and sort them into a GroupedProfile.
 
@@ -242,7 +248,11 @@ def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> Grouped
         if not 1 <= g <= group_count:
             raise ProfileError(f"group {g} outside 1..{group_count}")
         buckets[g - 1].append(x)
-    return GroupedProfile(tuple(tuple(sorted(b)) for b in buckets))
+    groups = tuple(tuple(sorted(b)) for b in buckets)
+    if not (groups and all(groups)):
+        return GroupedProfile(groups)  # raises the constructor's error for no group or an empty one
+    # The locations are validated and sorted: only the views are left to set.
+    return _set_sorted_views(object.__new__(GroupedProfile), groups)
 
 
 @dataclass(frozen=True)

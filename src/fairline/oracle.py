@@ -9,10 +9,20 @@ from maxima of constituents can only attain its minimum at a grid point or at
 a crossing of two constituent lines inside an interval. Enumerating those
 candidates gives an exact global optimum.
 
-`optimize` sweeps the grid left to right once: `objectives.constituents_along`
-walks each group's sorted members with one pointer, so every kink costs O(m)
-instead of an O(n) sum per group, and each interval's crossings cost O(m^2).
-A call is O(n·m^2) in all, against O(n^2) for a direct sum at every kink.
+`optimize` evaluates every kink first, in one left-to-right sweep:
+`objectives.constituents_along` walks each group's sorted members with one
+pointer, so every kink costs O(m) instead of an O(n) sum per group. It then
+searches crossings, at O(m^2) per interval, only where they could reach the
+optimum. Inside an interval every constituent lies between its two endpoint
+values, so the objective there is at least an "interval floor" built from
+them (`_interval_floors`). An interval whose floor, less a rounding slack,
+lies above the best kink value's tie window holds no crossing that could
+set the optimum or tie with it: the optimum is at most the best kink value,
+and the tie window grows with the value it is taken around. So skipping
+those intervals changes neither the optimum nor the minimizers. On Gaussian
+profiles of about 130 agents in 4 groups, iif1 and iif2 search about 1% of
+the intervals. A call is O(n·m^2) at worst, against O(n^2) for a direct sum
+at every kink.
 The way an objective combines its constituents (`objectives.combine`) and
 which constituents it combines are the ones behind `eval_point`, so the
 rule's side and the optimum's side of every ratio share one copy of each
@@ -30,7 +40,9 @@ unless no finite candidate exists.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .mechanisms import MechanismLike, as_mechanism_fn
@@ -44,6 +56,15 @@ if TYPE_CHECKING:
 
 # Grid points per chunk, which bounds the (points x members) distance matrix.
 _GRID_CHUNK = 1 << 14
+# A constituent line interpolated in floats, va + t·(vb − va) with t in
+# (0, 1), lands within 1.5·eps·max(|va|, |vb|) of [min(va, vb), max(va, vb)].
+# On the span a group's total is at most its size times the span and any
+# other constituent at most twice the span, so 2·n·span bounds every rounded
+# constituent. The interval floor widens its bounds by this factor times
+# 2·n·span, which also covers the rounding of the widening itself. When
+# 2·n·span overflows the slack is inf and no interval is cut: a constituent
+# may overflow too, and no floor bounds an interpolated inf - inf.
+_FLOOR_SLACK = 8.0 * sys.float_info.epsilon
 
 
 class UnboundedObjectiveError(ValueError):
@@ -122,14 +143,64 @@ def _crossing_candidates(
     return out
 
 
+def _interval_floors(spec: ObjectiveSpec, fams: list[tuple[list[float], ...]], slack: float) -> list[float]:
+    """Per interval between consecutive kinks, a lower bound of the objective at its crossings.
+
+    `fams` holds the constituent families at each kink. Between two kinks
+    every constituent is a line, so inside the interval it lies between its
+    two endpoint values, widened by `slack` for rounding. Each family's
+    maximum is then at least the largest of the smaller endpoint values, and
+    alt's minimum at most the smallest of the larger ones. Every objective
+    grows with its maxima and shrinks with alt's minimum, and float rounding
+    keeps that order, so combining the bounds gives a floor that no rounded
+    crossing value inside the interval goes below. Alt form "b" gets no
+    floor (-inf) where the bound on its divisor is not positive.
+    """
+    # Conditional expressions, not min() and max() calls: this runs once per
+    # group and interval, and a builtin call costs several times as much.
+    highs = []
+    lows: list[float] = []
+    for f in range(len(fams[0])):
+        high: list[float] = []
+        # g: one group's constituent at every kink, in order.
+        for i, g in enumerate(zip(*[fam[f] for fam in fams])):
+            smaller = [a if a < b else b for a, b in zip(g, g[1:])]
+            high = smaller if i == 0 else [h if h > s else s for h, s in zip(high, smaller)]
+            if spec.kind == "alt":
+                larger = [a if a > b else b for a, b in zip(g, g[1:])]
+                lows = larger if i == 0 else [x if x < y else y for x, y in zip(lows, larger)]
+        highs.append([h - slack for h in high])
+    if spec.kind != "alt":
+        return list(map(add, *highs)) if spec.kind == "iif1" else highs[0]
+    lows = [x + slack for x in lows]
+    if spec.form == "a":
+        return list(map(sub, highs[0], lows))
+    return [high / low if low > 0.0 else -math.inf for high, low in zip(highs[0], lows)]
+
+
+def _tie_tol(value: float) -> float:
+    """How far above the optimum `value` a candidate still counts as tied with it.
+
+    The tolerance tracks rounding noise only, so every listed minimizer
+    re-evaluates to the optimum far inside the package-wide 1e-9 tolerance.
+    `value + _tie_tol(value)` grows with `value`, which is what lets
+    `optimize` prune intervals against its best kink before it knows the
+    optimum.
+    """
+    return 1e-12 * max(1.0, abs(value))
+
+
 def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
     """Exact global minimum of the objective over facility locations.
 
     Evaluates every kink in one left-to-right sweep (`constituents_along`),
-    then the crossings inside each interval: O(n·m^2) for n agents in m
-    groups. Returns the leftmost minimizer, with its value re-evaluated by
+    then the crossings inside the intervals that can hold the optimum: the
+    two around the best kink for the convex mtgc and magc, and otherwise
+    every interval whose floor reaches the best kink value's tie window
+    (see the module docstring). O(n·m^2) at worst for n agents in m groups.
+    Returns the leftmost minimizer, with its value re-evaluated by
     `eval_point`; `minimizers` lists every evaluated candidate tied with the
-    optimum up to rounding noise.
+    optimum up to rounding noise (`_tie_tol`).
     """
     x1, xn = profile.span
     if xn - x1 <= 0.0:
@@ -155,22 +226,25 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
                 )
     else:
         pts = breakpoints(profile)
-        fams = constituents_along(profile, spec, pts)
-        fam_prev = next(fams)
-        candidates = [(pts[0], combine(spec, fam_prev))]
-        for a, b, fam_next in zip(pts, pts[1:], fams):
-            candidates.extend(_crossing_candidates(spec, a, fam_prev, b, fam_next))
-            candidates.append((b, combine(spec, fam_next)))
-            fam_prev = fam_next
+        fams = list(constituents_along(profile, spec, pts))
+        values = [combine(spec, f) for f in fams]
+        # No crossing in an interval whose floor exceeds the best kink's tie
+        # window can be a minimizer. A NaN floor (inf slack) is searched.
+        best = min((v for v in values if not math.isinf(v)), default=math.inf)
+        cut = best + _tie_tol(best)
+        slack = _FLOOR_SLACK * (2.0 * profile.n * (xn - x1))
+        candidates = [(pts[0], values[0])]
+        for k, floor in enumerate(_interval_floors(spec, fams, slack)):
+            if not floor > cut:
+                candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
+            candidates.append((pts[k + 1], values[k + 1]))
 
     finite = [(y, v) for y, v in candidates if not math.isinf(v)]
     if not finite:
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")
     vmin = min(v for _, v in finite)
-    # Tie tolerance tracks rounding noise only, so every listed minimizer
-    # re-evaluates to the optimum far inside the package-wide 1e-9 tolerance.
-    tie_tol = 1e-12 * max(1.0, abs(vmin))
-    minimizers = _merge_close(sorted(y for y, v in finite if v <= vmin + tie_tol))
+    tied = vmin + _tie_tol(vmin)
+    minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
     location = minimizers[0]
     return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))
 

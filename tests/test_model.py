@@ -17,6 +17,8 @@ from fairline import (
     group_summary,
 )
 
+from fairline import model
+
 from conftest import grouped_profiles
 
 TWO_THIRDS = 2.0 / 3.0
@@ -56,6 +58,21 @@ class TestBuildProfile:
     def test_empty_profile_rejected(self):
         with pytest.raises(ProfileError):
             build_profile([], 1)
+        with pytest.raises(ProfileError, match="at least one group"):
+            build_profile([], 0)
+
+    def test_validates_each_location_once(self, monkeypatch):
+        calls = 0
+        check = model._location
+
+        def counting(value):
+            nonlocal calls
+            calls += 1
+            return check(value)
+
+        monkeypatch.setattr(model, "_location", counting)
+        build_profile([(0, 1), (2, 2), (1, 1)], 2)
+        assert calls == 3
 
     def test_colocated_tie_break_is_stable(self):
         p = build_profile([(0, 2), (0, 1), (0, 2)], 2)

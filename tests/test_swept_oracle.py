@@ -82,31 +82,32 @@ def test_swept_points_may_lie_outside_the_members():
     assert list(constituents_along(profile, MTGC, [])) == []
 
 
-@pytest.mark.parametrize(
-    "raw, expected",
-    [
-        # Raw prefix sums of these locations overflow; offsets from each
-        # group's first member do not.
-        (
-            [(1e308, 1), (1.5e308, 1), (1.2e308, 2)],
-            {
-                "mtgc": (1e308, 5e307, (1e308, 1.2e308, 1.5e308)),
-                "iif1": (1.2e308, 3.5000000000000016e307, (1.2e308,)),
-                "alt-a-total": (1.5e308, 1.9999999999999992e307, (1.5e308,)),
-            },
-        ),
-        # Here the offsets themselves sum past the float maximum, while every
-        # total stays finite.
-        (
-            [(0.0, 1), (1e308, 1), (1e308, 1), (1e308, 2)],
-            {
-                "mtgc": (1e308, 1e308, (1e308,)),
-                "iif1": (5e307, 5e307, (5e307,)),
-                "alt-a-total": (5e307, 1e308, (5e307, 1e308)),
-            },
-        ),
-    ],
-)
+# (raw pairs, {objective: (location, value, minimizers)}) for two groups.
+NEAR_FLOAT_MAX = [
+    # Raw prefix sums of these locations overflow; offsets from each
+    # group's first member do not.
+    (
+        [(1e308, 1), (1.5e308, 1), (1.2e308, 2)],
+        {
+            "mtgc": (1e308, 5e307, (1e308, 1.2e308, 1.5e308)),
+            "iif1": (1.2e308, 3.5000000000000016e307, (1.2e308,)),
+            "alt-a-total": (1.5e308, 1.9999999999999992e307, (1.5e308,)),
+        },
+    ),
+    # Here the offsets themselves sum past the float maximum, while every
+    # total stays finite.
+    (
+        [(0.0, 1), (1e308, 1), (1e308, 1), (1e308, 2)],
+        {
+            "mtgc": (1e308, 1e308, (1e308,)),
+            "iif1": (5e307, 5e307, (5e307,)),
+            "alt-a-total": (5e307, 1e308, (5e307, 1e308)),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, expected", NEAR_FLOAT_MAX)
 def test_near_float_max_profiles_keep_their_optima(raw, expected):
     profile = build_profile(raw, 2)
     for label, (location, value, minimizers) in expected.items():
