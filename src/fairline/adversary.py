@@ -5,13 +5,20 @@ landscape has large attraction basins around the known tight families, so
 restarts handle multimodality without annealing. Locations stay in [0, 1]
 during search, which loses nothing because ratios are invariant under
 translation and positive scaling.
+
+Each restart scores a distinct profile once. Its current ratio never falls,
+so a candidate scored earlier in the restart scored at most the current
+ratio and would be rejected again; such a repeat is skipped after its random
+draws, which leaves every report unchanged. Jitters of the current profile
+are built on one deviation path per agent, kept until the profile changes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import GroupedProfile, build_profile
@@ -41,8 +48,8 @@ class SearchConfig:
             raise ValueError("n_range.min must be at least m_range.min")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.perturbation_scale <= 0:
-            raise ValueError("perturbation_scale must be positive")
+        if not (math.isfinite(self.perturbation_scale) and self.perturbation_scale > 0):
+            raise ValueError(f"perturbation_scale must be finite and positive, got {self.perturbation_scale!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
 
@@ -81,12 +88,21 @@ def random_profile(config: SearchConfig, draw_index: int) -> GroupedProfile:
     return build_profile(raw, m)
 
 
-def _perturb(profile: GroupedProfile, rng: random.Random, scale: float) -> GroupedProfile | None:
+def _perturb(
+    profile: GroupedProfile,
+    rng: random.Random,
+    scale: float,
+    paths: dict[int, Callable[[float], GroupedProfile]] | None = None,
+) -> GroupedProfile | None:
     """One local move: jitter a location (clamped to [0, 1]) or relabel a group.
 
     Returns None when a relabel would empty a group or a clamped jitter leaves
     the agent where it was; such moves are skipped, not repaired. A null
     jitter would only copy the profile, whose ratio cannot beat its own.
+    `paths`, when given, holds deviation paths of `profile`'s agents by
+    index; a jitter reuses the agent's path, adding it if missing, and
+    returns what `with_location` would. The caller empties it when the
+    profile changes.
     """
     n = profile.n
     if profile.group_count > 1 and rng.random() < 0.25:
@@ -101,7 +117,11 @@ def _perturb(profile: GroupedProfile, rng: random.Random, scale: float) -> Group
     moved = min(1.0, max(0.0, own + rng.uniform(-scale, scale)))
     if moved == own:
         return None
-    return profile.with_location(i, moved)
+    if paths is None:
+        paths = {}
+    if i not in paths:
+        paths[i] = profile.deviations((i,))
+    return paths[i](moved)
 
 
 def hill_climb(
@@ -115,6 +135,12 @@ def hill_climb(
     Restart i starts from seed_profiles[i] when provided, otherwise from
     random_profile(config, i). The trace records every strict improvement of
     the global best as (iteration, ratio) pairs.
+
+    A candidate equal to a profile already scored in the same restart, its
+    start included, is skipped after its draws and its step. Within a
+    restart the current ratio never falls, so the repeat scored at most the
+    current ratio and cannot be accepted. This holds because `ratio`, like
+    the rule, is taken to be a function of the profile.
     """
     fn = as_mechanism_fn(mechanism)
     best_profile: GroupedProfile | None = None
@@ -131,14 +157,19 @@ def hill_climb(
         if current_ratio > best_ratio:
             best_profile, best_ratio = current, current_ratio
             trace.append((step, best_ratio))
+        # Profiles are equal exactly when their group_locations are; only those are kept.
+        scored = {current.group_locations}
+        paths: dict[int, Callable[[float], GroupedProfile]] = {}
         for _ in range(config.iterations):
             step += 1
-            candidate = _perturb(current, rng, config.perturbation_scale)
-            if candidate is None:
+            candidate = _perturb(current, rng, config.perturbation_scale, paths)
+            if candidate is None or candidate.group_locations in scored:
                 continue
+            scored.add(candidate.group_locations)
             candidate_ratio = ratio(candidate, fn, spec).ratio
             if candidate_ratio > current_ratio:
                 current, current_ratio = candidate, candidate_ratio
+                paths = {}
                 if candidate_ratio > best_ratio:
                     best_profile, best_ratio = candidate, candidate_ratio
                     trace.append((step, best_ratio))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from fairline import (
     MAGC,
     MTGC,
     SearchConfig,
+    WorstCaseReport,
+    adversary,
     bound_conformance,
     build_profile,
     cli,
@@ -16,8 +19,10 @@ from fairline import (
     random_profile,
     ratio,
 )
-from fairline.adversary import _perturb
+from fairline.adversary import _perturb, _stream
 from fairline.families import single_group_two_clusters, tight_largest_group_total
+
+from conftest import mean_mechanism
 
 
 def small_config(**overrides) -> SearchConfig:
@@ -38,6 +43,11 @@ class TestSearchConfig:
             SearchConfig(seed=1, n_range=(2, 4), m_range=(1, 2), iterations=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=1, n_range=(2, 4), m_range=(1, 2), restarts=0)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_perturbation_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="perturbation_scale"):
+            SearchConfig(seed=1, n_range=(2, 4), m_range=(1, 2), perturbation_scale=scale)
 
 
 class TestRandomProfile:
@@ -138,6 +148,24 @@ class TestPerturb:
         assert 0 < skipped < 200
         assert rng.random() == replay.random()
 
+    def test_cached_paths_build_what_with_location_builds(self):
+        # One group, so every move is a jitter; the cache is shared by every call.
+        profile = build_profile([(0.3, 1), (0.6, 1), (0.6, 1), (0.0, 1), (1.0, 1)], 1)
+        rng, replay, plain = random.Random(5), random.Random(5), random.Random(5)
+        paths = {}
+        for _ in range(200):
+            candidate = _perturb(profile, rng, 0.15, paths)
+            i = replay.randrange(profile.n)
+            own = profile.locations[i]
+            moved = min(1.0, max(0.0, own + replay.uniform(-0.15, 0.15)))
+            assert candidate == _perturb(profile, plain, 0.15)
+            if moved == own:
+                assert candidate is None
+            else:
+                assert candidate == profile.with_location(i, moved)
+        assert sorted(paths) == list(range(profile.n))
+        assert rng.random() == replay.random() == plain.random()
+
 
 # Search reports of the six proven (rule, objective) pairs, seeded at their
 # tight families, under the `fairline search` defaults with m up to 4.
@@ -165,3 +193,112 @@ def test_conformance_reports_are_pinned():
             best = report.best_profile
             digest.update(repr((ok, report.best_ratio, best.raw(), best.group_count, report.trace)).encode())
     assert digest.hexdigest() == REPORTS_DIGEST
+
+
+def reference_climb(mechanism, spec, config, seed_profiles=()):
+    """`hill_climb` without its shortcuts: every candidate is built with
+    `with_location`/`with_group` and scored.
+
+    Returns the report and, per restart, the profiles scored in order.
+    """
+    best_profile, best_ratio, trace, step = None, -1.0, [], 0
+    scored_per_restart = []
+    for r_idx in range(config.restarts):
+        current = seed_profiles[r_idx] if r_idx < len(seed_profiles) else random_profile(config, r_idx)
+        rng = _stream(config.seed, 1, r_idx)
+        scored = [current]
+        current_ratio = ratio(current, mechanism, spec).ratio
+        if current_ratio > best_ratio:
+            best_profile, best_ratio = current, current_ratio
+            trace.append((step, best_ratio))
+        for _ in range(config.iterations):
+            step += 1
+            # The draws of `_perturb`, in its order.
+            pairs = current.raw()
+            if current.group_count > 1 and rng.random() < 0.25:
+                i = rng.randrange(current.n)
+                old = pairs[i][1]
+                if current.group_sizes[old - 1] <= 1:
+                    continue
+                new = rng.choice([g for g in range(1, current.group_count + 1) if g != old])
+                candidate = current.with_group(i, new)
+            else:
+                i = rng.randrange(current.n)
+                own = pairs[i][0]
+                moved = min(1.0, max(0.0, own + rng.uniform(-config.perturbation_scale, config.perturbation_scale)))
+                if moved == own:
+                    continue
+                candidate = current.with_location(i, moved)
+            scored.append(candidate)
+            candidate_ratio = ratio(candidate, mechanism, spec).ratio
+            if candidate_ratio > current_ratio:
+                current, current_ratio = candidate, candidate_ratio
+                if candidate_ratio > best_ratio:
+                    best_profile, best_ratio = candidate, candidate_ratio
+                    trace.append((step, best_ratio))
+        scored_per_restart.append(scored)
+    return WorstCaseReport(best_profile, best_ratio, tuple(trace)), scored_per_restart
+
+
+def first_occurrences(profiles):
+    seen, out = set(), []
+    for p in profiles:
+        if p not in seen:
+            seen.add(p)
+            out.append(p)
+    return out
+
+
+def climb_with_scored(monkeypatch, mechanism, spec, config, seed_profiles=()):
+    """`hill_climb`'s report and every profile it scored, in order."""
+    scored = []
+
+    def counted(profile, mech, objective):
+        scored.append(profile)
+        return ratio(profile, mech, objective)
+
+    monkeypatch.setattr(adversary, "ratio", counted)
+    return hill_climb(mechanism, spec, config, seed_profiles), scored
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(pair, seed) for pair in PROVEN for seed in range(4)],
+    ids=lambda param: "{}-{}-seed{}".format(*param[0], param[1]),
+)
+def pinned_climbs(request):
+    """Reference and `hill_climb` runs of one configuration of `test_conformance_reports_are_pinned`."""
+    (rule, objective), seed = request.param
+    mechanism, spec = parse_mechanism(rule), parse_objective(objective)
+    family = (cli.tight_family_profile(mechanism, spec, 8),)
+    config = SearchConfig(
+        seed=seed, n_range=(2, 8), m_range=(1, 4), restarts=6, iterations=300, perturbation_scale=0.15
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report, scored = climb_with_scored(monkeypatch, mechanism, spec, config, family)
+    return reference_climb(mechanism, spec, config, family), (report, scored)
+
+
+class TestRepeatSkip:
+    def test_reports_equal_the_reference(self, pinned_climbs):
+        (expected, _), (report, _) = pinned_climbs
+        assert (report.best_ratio, report.best_profile, report.trace) == (
+            expected.best_ratio,
+            expected.best_profile,
+            expected.trace,
+        )
+        assert report.best_profile.raw() == expected.best_profile.raw()
+
+    def test_each_distinct_profile_is_scored_once_per_restart(self, pinned_climbs):
+        (_, reference_scored), (_, scored) = pinned_climbs
+        # The scored profiles are the reference's, less each restart's repeats, in the same order.
+        assert scored == [p for restart in reference_scored for p in first_occurrences(restart)]
+        assert len(scored) < sum(map(len, reference_scored))
+
+    def test_plain_callable_rule_matches_the_reference(self, monkeypatch):
+        config = SearchConfig(seed=4, n_range=(2, 6), m_range=(1, 3), iterations=150, restarts=3)
+        for spec in (MTGC, MAGC):
+            expected, reference_scored = reference_climb(mean_mechanism, spec, config)
+            report, scored = climb_with_scored(monkeypatch, mean_mechanism, spec, config)
+            assert report == expected
+            assert scored == [p for restart in reference_scored for p in first_occurrences(restart)]

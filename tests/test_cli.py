@@ -226,6 +226,14 @@ class TestSearch:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_perturbation_exits_two(self, tmp_path, capsys, scale):
+        report_path = tmp_path / "r.json"
+        code = run_cli(self.BASE + ["--perturbation", scale, "--report", str(report_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: perturbation_scale must be finite and positive")
+        assert not report_path.exists()
+
     def test_exceeded_bound_exits_one(self, tmp_path):
         code = run_cli(
             [
