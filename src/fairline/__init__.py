@@ -69,6 +69,7 @@ from .objectives import (
     parse_objective,
 )
 from .oracle import (
+    ObjectiveOverflowError,
     OptimalResult,
     RatioReport,
     UnboundedObjectiveError,

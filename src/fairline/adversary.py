@@ -107,7 +107,7 @@ def _perturb(
     n = profile.n
     if profile.group_count > 1 and rng.random() < 0.25:
         i = rng.randrange(n)
-        old = profile.raw()[i][1]
+        old = profile.group_of(i)
         if profile.group_sizes[old - 1] <= 1:
             return None
         choices = [g for g in range(1, profile.group_count + 1) if g != old]

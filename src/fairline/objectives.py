@@ -7,22 +7,40 @@ either a max-min gap (form "a") or a max/min ratio (form "b").
 
 Lotteries are scored as the expectation of the objective over the support,
 not as the objective of expected costs.
+
+Each objective combines one or two families of per-group constituents. At
+one point (`constituents`, `combine`, `eval_point`) a family holds one value
+per group. Along many points (`columns_along`, `combine_along`, the exact
+optimizer's kink pass) it holds one column per group instead, with the
+group's value at every point. Which constituents an objective combines
+(`_assembler`) and how it combines them (`ObjectiveSpec._combiner`) are
+written once and serve both forms, and the two agree bit for bit wherever
+they are built from the same constituent values.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from operator import add, truediv
+from operator import add, sub, truediv
+from typing import Any
 
 from .model import FacilityOutcome, GroupedProfile
 
 _KINDS = ("mtgc", "magc", "iif1", "iif2", "alt")
 _FORMS = ("a", "b")
 _HS = ("total", "average", "max")
+
+
+def _ratio(hi: float, lo: float) -> float:
+    """Alt form "b": hi / lo, with 0/0 read as 1 and a positive hi over 0 as +inf."""
+    if lo <= 0.0:
+        return 1.0 if hi <= 0.0 else math.inf
+    return hi / lo
 
 
 @dataclass(frozen=True)
@@ -41,6 +59,21 @@ class ObjectiveSpec:
                 raise ValueError("alt objectives need form in {'a','b'} and h in {'total','average','max'}")
         elif self.form is not None or self.h is not None:
             raise ValueError(f"objective {self.kind!r} takes no form/h")
+
+    @cached_property
+    def _combiner(self) -> tuple[Callable[[float, float], float], int, Callable[..., float]] | None:
+        """How the objective combines its families over the groups; None for the maximum of family 0.
+
+        Otherwise (merge, f, pick): the value is merge(the maximum of family
+        0, pick over family f), that is iif1's sum of two maxima and alt's
+        gap or ratio between its maximum and minimum. `combine` and
+        `combine_along` both read it, once per call.
+        """
+        if self.kind == "iif1":
+            return add, 1, max
+        if self.kind != "alt":
+            return None
+        return (sub if self.form == "a" else _ratio), 0, min
 
     @property
     def label(self) -> str:
@@ -101,13 +134,21 @@ def _farthest(locs: tuple[float, ...], y: float) -> float:
     return max(abs(y - locs[0]), abs(y - locs[-1]))
 
 
-def _assembler(spec: ObjectiveSpec, sizes: Sequence[int]) -> Callable[..., tuple[list[float], ...]]:
-    """How `spec` builds its constituent families from per-group statistics at one point.
+def _assembler(
+    spec: ObjectiveSpec,
+    sizes: Sequence[int],
+    per_size: Callable[[Any, int], Any],
+    plus: Callable[[Any, Any], Any],
+) -> Callable[..., tuple[list[Any], ...]]:
+    """Which constituent families `spec` combines, built from per-group statistics.
 
     The returned function takes (totals, spreads, farthest), each holding one
-    value per group in group order. It reads only the statistics the
-    objective combines, each at most once, so callers may pass lazy
-    iterables for the rest.
+    entry per group in group order, and returns each family as a list with
+    one entry per group. An entry is either a value at one point
+    (`constituents`: `per_size` is division, `plus` addition) or a column of
+    values along many points (`columns_along`: the same operations, entry by
+    entry). It reads only the statistics the objective combines, each at
+    most once, so callers may pass lazy iterables or nothing for the rest.
     """
     kind = spec.kind
     if kind == "mtgc" or spec.h == "total":
@@ -115,10 +156,10 @@ def _assembler(spec: ObjectiveSpec, sizes: Sequence[int]) -> Callable[..., tuple
     if spec.h == "max":
         return lambda totals, spreads, farthest: (list(farthest),)
     if kind == "iif1":
-        return lambda totals, spreads, farthest: (list(map(truediv, totals, sizes)), list(spreads))
+        return lambda totals, spreads, farthest: (list(map(per_size, totals, sizes)), list(spreads))
     if kind == "iif2":
-        return lambda totals, spreads, farthest: (list(map(add, map(truediv, totals, sizes), spreads)),)
-    return lambda totals, spreads, farthest: (list(map(truediv, totals, sizes)),)
+        return lambda totals, spreads, farthest: (list(map(plus, map(per_size, totals, sizes), spreads)),)
+    return lambda totals, spreads, farthest: (list(map(per_size, totals, sizes)),)
 
 
 def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tuple[list[float], ...]:
@@ -131,7 +172,7 @@ def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tupl
     """
     groups = profile.group_locations
     at = repeat(y)
-    build = _assembler(spec, profile.group_sizes)
+    build = _assembler(spec, profile.group_sizes, truediv, add)
     return build(map(_total, groups, at), map(_spread, groups, at), map(_farthest, groups, at))
 
 
@@ -144,7 +185,10 @@ def _sweep_group(
     and `left` sums their offsets from the first member. Offsets rather than
     raw locations make the total exactly 0.0 when every member sits at y, and
     keep its rounding relative to the group's extent. A spread uses the same
-    pointer for the nearest member and is bit-identical to `_spread`.
+    pointer for the nearest member. It is split into the cases y <= first,
+    y >= last and interior, where the sign of every offset is known, so it
+    needs no max, min or abs call; fl(a - b) = -fl(b - a) keeps each case
+    bit-identical to `_spread`.
     """
     first, last = locs[0], locs[-1]
     size = len(locs)
@@ -167,44 +211,50 @@ def _sweep_group(
         d = y - first
         totals.append((k * d - left) + ((whole - left) - (size - k) * d))
         if spreads:
-            maximum = max(abs(d), abs(y - last))
             if y <= first:
-                minimum = first - y
+                spread_col.append((last - y) - (first - y))
             elif y >= last:
-                minimum = y - last
+                spread_col.append(d - (y - last))
             else:
-                minimum = min(locs[k] - y, y - locs[k - 1])
-            spread_col.append(maximum - minimum)
+                far = last - y
+                above = locs[k] - y
+                below = y - locs[k - 1]
+                spread_col.append((far if far > d else d) - (below if below < above else above))
     return totals, spread_col
 
 
-def constituents_along(
-    profile: GroupedProfile, spec: ObjectiveSpec, ys: Sequence[float]
-) -> Iterator[tuple[list[float], ...]]:
-    """`constituents` at each of the ascending points `ys`, in one pass per group.
+def _scaled(column: list[float], size: int) -> list[float]:
+    return [t / size for t in column]
 
-    Costs O(n + len(ys)·m) in all instead of O(n) per point. The families
-    come point by point, so a caller that needs only neighbouring pairs need
-    not hold them all. Spreads and farthest-member distances are
-    bit-identical to `constituents`'; totals and averages agree to rounding
-    (they come from running offset sums, not from a direct sum at each point)
-    and are exactly 0.0 for a group whose members all sit at the point.
+
+def _added(a: list[float], b: list[float]) -> list[float]:
+    return list(map(add, a, b))
+
+
+def columns_along(profile: GroupedProfile, spec: ObjectiveSpec, ys: Sequence[float]) -> tuple[list[list[float]], ...]:
+    """`constituents` at each of the ascending points `ys`, as one column per group.
+
+    Returns the families `constituents` returns, but each family holds, per
+    group, the column of that group's values at every point of `ys`. One
+    pass per group costs O(n + len(ys)·m) in all instead of O(n) per point.
+    Spreads and farthest-member distances are bit-identical to
+    `constituents`'; totals and averages agree to rounding (they come from
+    running offset sums, not from a direct sum at each point) and are
+    exactly 0.0 for a group whose members all sit at the point.
     """
-    if not ys:
-        return iter(())
     groups = profile.group_locations
-    totals = spreads = farthest = repeat(())
+    totals: list[list[float]] = []
+    spreads: list[list[float]] = []
+    farthest: list[list[float]] = []
     if spec.h == "max":
-        farthest = zip(*([_farthest(locs, y) for y in ys] for locs in groups))
+        farthest = [[_farthest(locs, y) for y in ys] for locs in groups]
     else:
         x1, xn = profile.span
-        reach = max(xn, ys[-1]) - min(x1, ys[0])
-        with_spreads = spec.kind in ("iif1", "iif2")
-        swept = [_sweep_group(locs, ys, reach, with_spreads) for locs in groups]
-        totals = zip(*[col for col, _ in swept])
-        if with_spreads:
-            spreads = zip(*[col for _, col in swept])
-    return map(_assembler(spec, profile.group_sizes), totals, spreads, farthest)
+        reach = max(xn, ys[-1]) - min(x1, ys[0]) if ys else 0.0
+        swept = [_sweep_group(locs, ys, reach, spec.kind in ("iif1", "iif2")) for locs in groups]
+        totals = [col for col, _ in swept]
+        spreads = [col for _, col in swept]
+    return _assembler(spec, profile.group_sizes, _scaled, _added)(totals, spreads, farthest)
 
 
 def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:
@@ -213,18 +263,28 @@ def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:
     Returns +inf only for alt form "b" when some group's statistic is 0 while
     another's is not; the 0/0 case evaluates to 1.
     """
-    kind = spec.kind
-    if kind == "iif1":
-        return max(families[0]) + max(families[1])
-    values = families[0]
-    if kind != "alt":
-        return max(values)
-    hi, lo = max(values), min(values)
-    if spec.form == "a":
-        return hi - lo
-    if lo <= 0.0:
-        return 1.0 if hi <= 0.0 else math.inf
-    return hi / lo
+    hi = max(families[0])
+    rule = spec._combiner
+    if rule is None:
+        return hi
+    merge, f, pick = rule
+    return merge(hi, pick(families[f]))
+
+
+def _across(pick: Callable[..., float], columns: list[list[float]]) -> Iterable[float]:
+    # `pick` over the groups at each point; with one group that is its own
+    # column, as max() and min() refuse a single float.
+    return columns[0] if len(columns) == 1 else map(pick, *columns)
+
+
+def combine_along(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...]) -> list[float]:
+    """`combine` at every point of the families `columns_along` returns, bit for bit."""
+    hi = _across(max, columns[0])
+    rule = spec._combiner
+    if rule is None:
+        return list(hi)
+    merge, f, pick = rule
+    return list(map(merge, hi, _across(pick, columns[f])))
 
 
 def eval_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> float:

@@ -9,26 +9,31 @@ from maxima of constituents can only attain its minimum at a grid point or at
 a crossing of two constituent lines inside an interval. Enumerating those
 candidates gives an exact global optimum.
 
-`optimize` evaluates every kink first, in one left-to-right sweep:
-`objectives.constituents_along` walks each group's sorted members with one
-pointer, so every kink costs O(m) instead of an O(n) sum per group. It then
-searches crossings, at O(m^2) per interval, only where they could reach the
-optimum. Inside an interval every constituent lies between its two endpoint
-values, so the objective there is at least an "interval floor" built from
-them (`_interval_floors`). An interval whose floor, less a rounding slack,
-lies above the best kink value's tie window holds no crossing that could
-set the optimum or tie with it: the optimum is at most the best kink value,
-and the tie window grows with the value it is taken around. So skipping
-those intervals changes neither the optimum nor the minimizers. On Gaussian
-profiles of about 130 agents in 4 groups, iif1 and iif2 search about 1% of
-the intervals. A call is O(n·m^2) at worst, against O(n^2) for a direct sum
-at every kink.
-The way an objective combines its constituents (`objectives.combine`) and
-which constituents it combines are the ones behind `eval_point`, so the
-rule's side and the optimum's side of every ratio share one copy of each
-formula, and the value `optimize` reports is `eval_point` at the minimizer.
-`grid_optimize` is the independent numpy cross-check and deliberately shares
-none of it.
+`optimize` evaluates every kink first, in one left-to-right sweep per group:
+`objectives.columns_along` walks each group's sorted members with one
+pointer, so every kink costs O(m) instead of an O(n) sum per group. The pass
+stays column-major: each family holds one column per group, with the group's
+value at every kink; `objectives.combine_along` folds the columns over the
+groups into the kink values, and `_interval_floors` reads the same columns.
+Only an interval that is searched has its two kinks' values gathered into
+rows (`_row`). The crossings, at O(m^2) per interval, are searched only where
+they could reach the optimum. Inside an interval every constituent lies
+between its two endpoint values, so the objective there is at least an
+"interval floor" built from them (`_interval_floors`). An interval whose
+floor, less a rounding slack, lies above the best kink value's tie window
+holds no crossing that could set the optimum or tie with it: the optimum is
+at most the best kink value, and the tie window grows with the value it is
+taken around. So skipping those intervals changes neither the optimum nor
+the minimizers. On Gaussian profiles of about 130 agents in 4 groups, iif1
+and iif2 search about 1% of the intervals. A call is O(n·m^2) at worst,
+against O(n^2) for a direct sum at every kink.
+Which constituents an objective combines (`objectives._assembler`) and how
+it combines them (`ObjectiveSpec._combiner`: iif1's sum, alt's gap, alt's
+ratio with its 0/0 convention) are written once and serve both `eval_point`
+at one point and the column pass at every kink, so the rule's side and the
+optimum's side of every ratio share one copy of each formula, and the value
+`optimize` reports is `eval_point` at the minimizer. `grid_optimize` is the
+independent numpy cross-check and deliberately shares none of it.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -47,7 +52,7 @@ from typing import TYPE_CHECKING
 
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
-from .objectives import ObjectiveSpec, combine, constituents_along, eval_outcome, eval_point
+from .objectives import ObjectiveSpec, columns_along, combine, combine_along, eval_outcome, eval_point
 
 # numpy serves only the grid cross-check below, which imports it on first use
 # so that `import fairline` does not.
@@ -69,6 +74,14 @@ _FLOOR_SLACK = 8.0 * sys.float_info.epsilon
 
 class UnboundedObjectiveError(ValueError):
     """Every candidate location evaluates to +inf (degenerate ratio instance)."""
+
+
+class ObjectiveOverflowError(ValueError):
+    """The objective's candidate values leave the float range, so no optimum can be told.
+
+    Raised when the least candidate value is NaN: past the float maximum a
+    constituent reads inf - inf.
+    """
 
 
 @dataclass(frozen=True)
@@ -143,27 +156,28 @@ def _crossing_candidates(
     return out
 
 
-def _interval_floors(spec: ObjectiveSpec, fams: list[tuple[list[float], ...]], slack: float) -> list[float]:
+def _interval_floors(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...], slack: float) -> list[float]:
     """Per interval between consecutive kinks, a lower bound of the objective at its crossings.
 
-    `fams` holds the constituent families at each kink. Between two kinks
-    every constituent is a line, so inside the interval it lies between its
-    two endpoint values, widened by `slack` for rounding. Each family's
-    maximum is then at least the largest of the smaller endpoint values, and
-    alt's minimum at most the smallest of the larger ones. Every objective
-    grows with its maxima and shrinks with alt's minimum, and float rounding
-    keeps that order, so combining the bounds gives a floor that no rounded
-    crossing value inside the interval goes below. Alt form "b" gets no
-    floor (-inf) where the bound on its divisor is not positive.
+    `columns` holds the constituent families at the kinks as `columns_along`
+    returns them, one column per group. Between two kinks every constituent
+    is a line, so inside the interval it lies between its two endpoint
+    values, widened by `slack` for rounding. Each family's maximum is then
+    at least the largest of the smaller endpoint values, and alt's minimum
+    at most the smallest of the larger ones. Every objective grows with its
+    maxima and shrinks with alt's minimum, and float rounding keeps that
+    order, so combining the bounds gives a floor that no rounded crossing
+    value inside the interval goes below. Alt form "b" gets no floor (-inf)
+    where the bound on its divisor is not positive.
     """
     # Conditional expressions, not min() and max() calls: this runs once per
     # group and interval, and a builtin call costs several times as much.
     highs = []
     lows: list[float] = []
-    for f in range(len(fams[0])):
+    for family in columns:
         high: list[float] = []
         # g: one group's constituent at every kink, in order.
-        for i, g in enumerate(zip(*[fam[f] for fam in fams])):
+        for i, g in enumerate(family):
             smaller = [a if a < b else b for a, b in zip(g, g[1:])]
             high = smaller if i == 0 else [h if h > s else s for h, s in zip(high, smaller)]
             if spec.kind == "alt":
@@ -176,6 +190,11 @@ def _interval_floors(spec: ObjectiveSpec, fams: list[tuple[list[float], ...]], s
     if spec.form == "a":
         return list(map(sub, highs[0], lows))
     return [high / low if low > 0.0 else -math.inf for high, low in zip(highs[0], lows)]
+
+
+def _row(columns: tuple[list[list[float]], ...], k: int) -> tuple[list[float], ...]:
+    """The families at kink `k`, one value per group, as `constituents` gives them at that kink."""
+    return tuple([column[k] for column in family] for family in columns)
 
 
 def _tie_tol(value: float) -> float:
@@ -193,14 +212,18 @@ def _tie_tol(value: float) -> float:
 def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
     """Exact global minimum of the objective over facility locations.
 
-    Evaluates every kink in one left-to-right sweep (`constituents_along`),
-    then the crossings inside the intervals that can hold the optimum: the
-    two around the best kink for the convex mtgc and magc, and otherwise
-    every interval whose floor reaches the best kink value's tie window
-    (see the module docstring). O(n·m^2) at worst for n agents in m groups.
-    Returns the leftmost minimizer, with its value re-evaluated by
-    `eval_point`; `minimizers` lists every evaluated candidate tied with the
-    optimum up to rounding noise (`_tie_tol`).
+    Evaluates every kink in one left-to-right sweep per group
+    (`columns_along`, kept as per-group columns through `combine_along` and
+    `_interval_floors`), then the crossings inside the intervals that can
+    hold the optimum: the two around the best kink for the convex mtgc and
+    magc, and otherwise every interval whose floor reaches the best kink
+    value's tie window (see the module docstring). O(n·m^2) at worst for n
+    agents in m groups. Returns the leftmost minimizer, with its value
+    re-evaluated by `eval_point`; `minimizers` lists every evaluated
+    candidate tied with the optimum up to rounding noise (`_tie_tol`).
+    Raises UnboundedObjectiveError when every candidate is +inf, and
+    ObjectiveOverflowError when the least candidate value is NaN, which
+    only coordinates near the float maximum bring about.
     """
     x1, xn = profile.span
     if xn - x1 <= 0.0:
@@ -214,35 +237,42 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
         # Convex objectives: kinks sit only at agent locations, and the true
         # minimum lies in one of the two intervals around the best kink.
         pts = _merge_close(sorted(set(profile.locations)))
-        fams = list(constituents_along(profile, spec, pts))
-        values = [combine(spec, f) for f in fams]
+        columns = columns_along(profile, spec, pts)
+        values = combine_along(spec, columns)
         i0 = values.index(min(values))
         candidates = list(zip(pts, values))
         for lo in (i0 - 1, i0):
             hi = lo + 1
             if 0 <= lo and hi < len(pts):
                 candidates.extend(
-                    _crossing_candidates(spec, pts[lo], fams[lo], pts[hi], fams[hi])
+                    _crossing_candidates(spec, pts[lo], _row(columns, lo), pts[hi], _row(columns, hi))
                 )
     else:
         pts = breakpoints(profile)
-        fams = list(constituents_along(profile, spec, pts))
-        values = [combine(spec, f) for f in fams]
+        columns = columns_along(profile, spec, pts)
+        values = combine_along(spec, columns)
         # No crossing in an interval whose floor exceeds the best kink's tie
         # window can be a minimizer. A NaN floor (inf slack) is searched.
         best = min((v for v in values if not math.isinf(v)), default=math.inf)
         cut = best + _tie_tol(best)
         slack = _FLOOR_SLACK * (2.0 * profile.n * (xn - x1))
         candidates = [(pts[0], values[0])]
-        for k, floor in enumerate(_interval_floors(spec, fams, slack)):
+        for k, floor in enumerate(_interval_floors(spec, columns, slack)):
             if not floor > cut:
-                candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
+                candidates.extend(
+                    _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
+                )
             candidates.append((pts[k + 1], values[k + 1]))
 
     finite = [(y, v) for y, v in candidates if not math.isinf(v)]
     if not finite:
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")
     vmin = min(v for _, v in finite)
+    if math.isnan(vmin):
+        # A NaN that comes first poisons min(), and no candidate ties with it.
+        raise ObjectiveOverflowError(
+            f"{spec.label} overflows the float range on this instance (a candidate reads inf - inf)"
+        )
     tied = vmin + _tie_tol(vmin)
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
     location = minimizers[0]

@@ -97,6 +97,12 @@ class TestEval:
         assert run_cli(["eval", str(path), "--mech", "mdm", "--obj", "mtgc"]) == 2
         assert capsys.readouterr().err.startswith("error: agent location must be finite")
 
+    def test_objective_past_the_float_range_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text('{"schema_version":1,"groups":[[-1.7e308,0],[1.7e308]]}')
+        assert run_cli(["eval", str(path), "--mech", "mdm", "--obj", "iif1"]) == 2
+        assert capsys.readouterr().err.startswith("error: iif1 overflows the float range")
+
     def test_usage_error_exits_two(self):
         assert run_cli(["eval"]) == 2
         assert run_cli(["no-such-command"]) == 2

@@ -17,8 +17,9 @@ import pytest
 from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, build_profile, optimize
 from fairline import oracle
 from fairline.model import _merge_close
-from fairline.objectives import combine, constituents_along, eval_point
+from fairline.objectives import columns_along, combine, eval_point
 from fairline.oracle import (
+    ObjectiveOverflowError,
     OptimalResult,
     UnboundedObjectiveError,
     _crossing_candidates,
@@ -27,7 +28,7 @@ from fairline.oracle import (
     breakpoints,
 )
 from test_kink_grid import _random_profile
-from test_swept_oracle import NEAR_FLOAT_MAX, _profiles
+from test_swept_oracle import NEAR_FLOAT_MAX, _profiles, rows
 
 SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
 NON_CONVEX = (IIF1, IIF2) + ALT_OBJECTIVES
@@ -44,7 +45,7 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
         return OptimalResult(x1, value, (x1,))
     if spec.kind in ("mtgc", "magc"):
         pts = _merge_close(sorted(set(profile.locations)))
-        fams = list(constituents_along(profile, spec, pts))
+        fams = rows(columns_along(profile, spec, pts))
         values = [combine(spec, f) for f in fams]
         i0 = values.index(min(values))
         candidates = list(zip(pts, values))
@@ -53,7 +54,7 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
                 candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
     else:
         pts = breakpoints(profile)
-        fams = list(constituents_along(profile, spec, pts))
+        fams = rows(columns_along(profile, spec, pts))
         candidates = [(pts[0], combine(spec, fams[0]))]
         for k in range(len(pts) - 1):
             candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
@@ -62,6 +63,8 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
     if not finite:
         raise UnboundedObjectiveError(spec.label)
     vmin = min(v for _, v in finite)
+    if math.isnan(vmin):
+        raise ObjectiveOverflowError(spec.label)
     tied = vmin + _tie_tol(vmin)
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
     return OptimalResult(minimizers[0], eval_point(profile, spec, minimizers[0]), tuple(minimizers))
@@ -138,8 +141,9 @@ def test_floor_bounds_every_crossing():
         profile = _random_profile(rng)
         pts = breakpoints(profile)
         for spec in NON_CONVEX:
-            fams = list(constituents_along(profile, spec, pts))
-            for k, floor in enumerate(_interval_floors(spec, fams, 0.0)):
+            columns = columns_along(profile, spec, pts)
+            fams = rows(columns)
+            for k, floor in enumerate(_interval_floors(spec, columns, 0.0)):
                 for y, v in _crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]):
                     assert floor <= v, (spec.label, profile.raw(), y, v, floor)
 
@@ -152,8 +156,9 @@ def test_interior_crossing_optimum_on_a_tight_floor_is_kept():
     profile = build_profile([(0.0, 1), (5.0, 1), (5.0, 2), (12.0, 2)], 2)
     pts = breakpoints(profile)
     assert pts == (0.0, 2.5, 5.0, 8.5, 12.0)
-    fams = list(constituents_along(profile, IIF1, pts))
-    assert _interval_floors(IIF1, fams, 0.0)[2] == 8.5
+    columns = columns_along(profile, IIF1, pts)
+    assert _interval_floors(IIF1, columns, 0.0)[2] == 8.5
+    fams = rows(columns)
     assert min(combine(IIF1, f) for f in fams) == 10.5
     got = optimize(profile, IIF1)
     assert (got.location, got.value, got.minimizers) == (6.0, 8.5, (6.0,))

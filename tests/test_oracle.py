@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from fairline import (
     IIF2,
     MAGC,
     MTGC,
+    ObjectiveOverflowError,
     alt,
     breakpoints,
     build_profile,
@@ -28,7 +30,7 @@ from fairline import (
     parse_mechanism,
     ratio,
 )
-from fairline.oracle import _distinct_weighted, _grid_values
+from fairline.oracle import UnboundedObjectiveError, _distinct_weighted, _grid_values
 from fairline.families import (
     group_median_family,
     single_group_two_clusters,
@@ -111,6 +113,35 @@ class TestOptimize:
         for spec in (MTGC, MAGC, IIF1, IIF2):
             opt = optimize(p, spec)
             assert opt.location == 3.0 and opt.value == 0.0
+
+
+class TestOverflow:
+    # inf - inf reaches the first candidate: its value is NaN.
+    FOUND = [(-1.7e308, 1), (1.7e308, 2), (0.0, 1)]
+    VALUES = (-1.7e308, -1e308, -9e307, 0.0, 1e308, 1.5e308, 1.7e308)
+
+    def test_nan_optimum_raises_a_named_error(self):
+        profile = build_profile(self.FOUND, 2)
+        with pytest.raises(ObjectiveOverflowError, match="iif1 overflows the float range"):
+            optimize(profile, IIF1)
+        assert issubclass(ObjectiveOverflowError, ValueError)
+
+    def test_two_group_profiles_past_the_float_range_fail_only_by_name(self):
+        # Every two-group profile of 2-4 agents on these coordinates, for
+        # every objective: 16,344 of these calls once raised a bare IndexError.
+        overflows = 0
+        for n in (2, 3, 4):
+            labels = [1, 2, 1, 2][:n]
+            for locs in itertools.product(self.VALUES, repeat=n):
+                profile = build_profile(list(zip(locs, labels)), 2)
+                for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+                    try:
+                        optimize(profile, spec)
+                    except ObjectiveOverflowError:
+                        overflows += 1
+                    except UnboundedObjectiveError:
+                        pass
+        assert overflows > 10_000
 
 
 class TestGridOptimize:

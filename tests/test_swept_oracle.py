@@ -1,14 +1,16 @@
 """The one-pass swept evaluator behind `optimize` against the direct sums.
 
-`constituents_along` gives `constituents` at every point of an ascending
-list in one left-to-right pass per group. Spreads and farthest-member
-distances must match the direct evaluator bit for bit; totals and averages
-come from running sums, so they match to rounding, except that a group whose
-members all sit at the point reads exactly 0.0.
+`columns_along` gives `constituents` at every point of an ascending list,
+as one column per group, in one left-to-right pass per group. Spreads and
+farthest-member distances must match the direct evaluator bit for bit;
+totals and averages come from running sums, so they match to rounding,
+except that a group whose members all sit at the point reads exactly 0.0.
+`combine_along` must give `combine` of each point's families bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -17,13 +19,29 @@ import pytest
 from conftest import random_pairs
 from fairline import ALT_OBJECTIVES, IIF1, MAIN_OBJECTIVES, MTGC, build_profile, optimize, parse_objective
 from fairline import objectives
-from fairline.objectives import constituents, constituents_along
+from fairline.objectives import (
+    _spread,
+    _sweep_group,
+    columns_along,
+    combine,
+    combine_along,
+    constituents,
+)
 from fairline.oracle import UnboundedObjectiveError, breakpoints
 from test_kink_grid import NON_CONVEX, PROFILES, _random_profile, all_pairs_optimum
 
 SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
 # Families each spec combines that hold only spreads or farthest distances.
 EXACT_FAMILIES = {"iif1": (1,), "alt-a-max": (0,), "alt-b-max": (0,)}
+
+
+def rows(columns):
+    """`columns_along`'s columns as the families at each point, one value per group."""
+    return [tuple([column[k] for column in family] for family in columns) for k in range(len(columns[0][0]))]
+
+
+def _bits(values):
+    return [v.hex() for v in values]
 
 
 def _profiles():
@@ -42,7 +60,7 @@ def test_swept_constituents_match_direct_ones():
         x1, xn = profile.span
         tol = 1e-12 * profile.n * max(abs(x1), abs(xn))
         for spec in SPECS:
-            swept = list(constituents_along(profile, spec, ys))
+            swept = rows(columns_along(profile, spec, ys))
             assert len(swept) == len(ys)
             for y, got in zip(ys, swept):
                 want = constituents(profile, spec, y)
@@ -58,11 +76,11 @@ def test_swept_constituents_match_direct_ones():
 def test_group_wholly_at_the_point_reads_exact_zero():
     rng = random.Random(7)
     checked = 0
-    for _ in range(400):
+    for _ in range(1000):
         profile = build_profile(*random_pairs(rng, max_n=9, digits=(0, 1)))
         ys = breakpoints(profile)
         for spec in (MTGC, parse_objective("magc"), IIF1, parse_objective("alt-a-average")):
-            for y, fams in zip(ys, constituents_along(profile, spec, ys)):
+            for y, fams in zip(ys, rows(columns_along(profile, spec, ys))):
                 for locs, value in zip(profile.group_locations, fams[0]):
                     if locs[0] == locs[-1] == y:
                         assert value == 0.0, (profile.raw(), spec.label, y, value)
@@ -70,7 +88,7 @@ def test_group_wholly_at_the_point_reads_exact_zero():
     assert checked > 100
     # Eight members at 0.1: their raw sum 0.7999999999999999 is not 8 * 0.1.
     profile = build_profile([(0.1, 1)] * 8 + [(0.7, 2), (-1.3, 2)], 2)
-    (fams,) = constituents_along(profile, MTGC, [0.1])
+    (fams,) = rows(columns_along(profile, MTGC, [0.1]))
     assert fams[0][0] == 0.0
 
 
@@ -78,8 +96,67 @@ def test_swept_points_may_lie_outside_the_members():
     profile = build_profile([(0.0, 1), (1.0, 1), (5.0, 2)], 2)
     ys = [-2.0, 0.0, 0.5, 3.0, 7.5]
     for spec in SPECS:
-        assert list(constituents_along(profile, spec, ys)) == [constituents(profile, spec, y) for y in ys]
-    assert list(constituents_along(profile, MTGC, [])) == []
+        assert rows(columns_along(profile, spec, ys)) == [constituents(profile, spec, y) for y in ys]
+    assert columns_along(profile, MTGC, []) == ([[], []],)
+
+
+def test_combined_columns_match_combine_at_every_point():
+    checked_single_group = 0
+    for k, profile in enumerate(_profiles()):
+        ys = breakpoints(profile)
+        for spec in SPECS:
+            columns = columns_along(profile, spec, ys)
+            want = [combine(spec, fams) for fams in rows(columns)]
+            assert _bits(combine_along(spec, columns)) == _bits(want), (k, spec.label)
+        checked_single_group += profile.group_count == 1
+    assert checked_single_group > 20
+
+
+# Sorted member tuples: one member, colocated members, a colocated pair
+# inside the group, and members spread over magnitudes.
+SPREAD_GROUPS = [
+    (0.3,),
+    (0.3, 0.3, 0.3),
+    (-1.0, 0.0, 0.0, 2.5, 4.0),
+    (1e-13, 3e-13, 3e-13, 7e-13),
+    (-2e15, 1.0, 3e15),
+    (0.1, 0.2, 0.7),
+]
+
+
+def test_swept_spreads_match_spread_in_every_branch():
+    branches = dict.fromkeys(
+        ("left of the members", "at first", "interior", "at an interior member", "at last", "right of the members"), 0
+    )
+    rng = random.Random(52)
+    groups = list(SPREAD_GROUPS)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        locs = [round(rng.uniform(-1.0, 1.0), rng.choice((1, 3, 17))) for _ in range(size)]
+        groups.append(tuple(sorted(locs + rng.sample(locs, rng.randint(0, size)))))
+    for locs in groups:
+        first, last = locs[0], locs[-1]
+        width = max(last - first, abs(first), 1e-300)
+        ys = set(locs) | {(a + b) / 2.0 for a, b in zip(locs, locs[1:])}
+        ys |= {first - width, first - width / 3.0, last + width / 7.0, last + width}
+        ys = sorted(ys)
+        reach = max(last, ys[-1]) - min(first, ys[0])
+        _, spreads = _sweep_group(locs, ys, reach, True)
+        assert _bits(spreads) == _bits(_spread(locs, y) for y in ys), locs
+        for y in ys:
+            if y < first:
+                branches["left of the members"] += 1
+            elif y == first:
+                branches["at first"] += 1
+            elif y > last:
+                branches["right of the members"] += 1
+            elif y == last:
+                branches["at last"] += 1
+            elif y in locs:
+                branches["at an interior member"] += 1
+            else:
+                branches["interior"] += 1
+    assert min(branches.values()) > 20, branches
 
 
 # (raw pairs, {objective: (location, value, minimizers)}) for two groups.
@@ -161,3 +238,42 @@ def test_optimize_sums_directly_only_for_its_reported_value(monkeypatch):
         # One direct sum per group, for the final eval_point; the O(n) kinks
         # were all swept.
         assert calls <= 2 * m, (spec.label, calls)
+
+
+# sha256 of `_optimize_outcomes()`, taken before the kink pass went
+# column-major; the pass must reproduce every optimum bit for bit.
+OPTIMIZE_DIGEST = "8d2e656e5ea82e8ea2b22b51e62d2c5b9449e132119f26a199a7a77226ae0c75"
+
+
+def _optimize_outcomes():
+    """`repr` of every seeded `optimize` result, or the exception type it raises."""
+    rng = random.Random(31_337)
+    profiles = []
+    for scale in (1.0, 1e-13, 1e15):
+        for _ in range(1000):
+            profiles.append(_random_profile(rng))
+        for _ in range(20):
+            n = rng.randint(20, 60)
+            m = rng.randint(1, 5)
+            raw = [(rng.gauss(0.0, 1.0), 1 + i % m) for i in range(n)]
+            raw += [(raw[i][0], 1 + (i + 1) % m) for i in range(0, n, 7)]  # colocated across groups
+            profiles.append(build_profile(raw, m))
+        profiles[-1020:] = [
+            build_profile([(x * scale, g) for x, g in p.raw()], p.group_count) for p in profiles[-1020:]
+        ]
+    profiles += _profiles()[-3:]
+    profiles += [build_profile(raw, 2) for raw, _ in NEAR_FLOAT_MAX]
+    for profile in profiles:
+        for spec in SPECS:
+            try:
+                yield repr(optimize(profile, spec))
+            except Exception as exc:
+                yield type(exc).__name__
+
+
+def test_optimize_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for line in _optimize_outcomes():
+        digest.update(line.encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == OPTIMIZE_DIGEST
