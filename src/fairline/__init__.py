@@ -1,9 +1,9 @@
 """Group-fair facility placement on a line.
 
 Mechanisms mapping grouped agent profiles to facility points or lotteries,
-fairness objectives over the groups, an exact piecewise-linear optimizer with
-a brute-force cross-check, strategyproofness audits, and a seeded adversarial
-search for worst-case approximation ratios.
+fairness objectives over the groups, an exact piecewise-linear optimizer,
+strategyproofness audits, and a seeded adversarial search for worst-case
+approximation ratios. Standard library only.
 """
 
 from .adversary import SearchConfig, WorstCaseReport, bound_conformance, hill_climb, random_profile
@@ -43,17 +43,14 @@ from .mechanisms import (
     rm,
 )
 from .model import (
-    Agent,
     EmptyGroupError,
     FacilityOutcome,
-    GroupCostSummary,
     GroupedProfile,
     InvalidLocationError,
     OutcomeError,
     ProfileError,
     agent_cost,
     build_profile,
-    group_summary,
 )
 from .objectives import (
     ALT_OBJECTIVES,
@@ -74,7 +71,6 @@ from .oracle import (
     RatioReport,
     UnboundedObjectiveError,
     breakpoints,
-    grid_optimize,
     optimize,
     ratio,
 )

@@ -9,6 +9,7 @@ samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -31,7 +32,9 @@ def _three_point(left: float, right: float) -> FacilityOutcome:
     mid = (left + right) / 2.0
     if left < mid < right:  # sorted and distinct, so nothing for `lottery` to merge
         return FacilityOutcome.three_point(left, mid, right)
-    # The midpoint rounded onto an end point, or overflowed.
+    if math.isinf(mid):  # the ends' sum overflowed; the sum of their halves cannot
+        mid = left / 2.0 + right / 2.0
+    # The midpoint may round onto an end point, which `lottery` merges.
     return FacilityOutcome.lottery(((left, 0.25), (right, 0.25), (mid, 0.5)))
 
 

@@ -6,9 +6,7 @@ facility point or a finite lottery over points; every cost in this package is
 an expected distance to the facility.
 
 All types are immutable and all functions are pure, so everything here is safe
-to share across threads without coordination. The one lazily computed value,
-`GroupedProfile.agents`, depends only on the profile, so a raced first read
-computes the same tuple twice.
+to share across threads without coordination.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -59,17 +56,6 @@ def _location(value: float) -> float:
 
 
 @dataclass(frozen=True)
-class Agent:
-    """One participant: a location on the line plus a group label."""
-
-    location: float
-    group: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "location", _location(self.location))
-
-
-@dataclass(frozen=True)
 class GroupedProfile:
     """Agents on the line in groups 1..group_count, stored as each group's sorted members.
 
@@ -77,9 +63,8 @@ class GroupedProfile:
     locations per group, none of them empty; -0.0 is stored as 0.0, so agents
     with equal (location, group) are identical values. The derived views
     (`locations`, `group_sizes`, `group_medians`) are computed once, when the
-    profile is made. `agents` lists the agents sorted by (location, group),
-    which makes every mechanism built on top of this type deterministic; it
-    is computed on its first read.
+    profile is made. Agents are ordered by (location, group), as in `raw()`,
+    which makes every mechanism built on top of this type deterministic.
     """
 
     # Member locations per group, each tuple sorted ascending.
@@ -112,16 +97,6 @@ class GroupedProfile:
     def span(self) -> tuple[float, float]:
         """Leftmost and rightmost agent locations."""
         return self.locations[0], self.locations[-1]
-
-    @cached_property
-    def agents(self) -> tuple[Agent, ...]:
-        """The agents, sorted by (location, group)."""
-        return tuple(Agent(x, g) for x, g in self.raw())
-
-    def members(self, group: int) -> tuple[float, ...]:
-        if not 1 <= group <= self.group_count:
-            raise ProfileError(f"group {group} outside 1..{self.group_count}")
-        return self.group_locations[group - 1]
 
     def raw(self) -> list[tuple[float, int]]:
         """(location, group) pairs, in profile order."""
@@ -368,17 +343,6 @@ class FacilityOutcome:
         return self.support[0][0]
 
 
-@dataclass(frozen=True)
-class GroupCostSummary:
-    """Total, average, maximum and minimum expected cost over one group's members."""
-
-    group: int
-    total: float
-    average: float
-    maximum: float
-    minimum: float
-
-
 def agent_cost(outcome: FacilityOutcome, location: float) -> float:
     """Expected distance from `location` to the facility under `outcome`."""
     support = outcome.support
@@ -386,16 +350,3 @@ def agent_cost(outcome: FacilityOutcome, location: float) -> float:
         pt, p = support[0]
         return p * abs(pt - location)
     return sum(p * abs(pt - location) for pt, p in support)
-
-
-def group_summary(profile: GroupedProfile, group: int, outcome: FacilityOutcome) -> GroupCostSummary:
-    """Cost summary of one group against an outcome, in expectation for lotteries."""
-    costs = [agent_cost(outcome, x) for x in profile.members(group)]
-    total = sum(costs)
-    return GroupCostSummary(
-        group=group,
-        total=total,
-        average=total / len(costs),
-        maximum=max(costs),
-        minimum=min(costs),
-    )

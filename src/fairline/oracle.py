@@ -1,4 +1,4 @@
-"""Exact and brute-force minimization of objectives over facility locations.
+"""Exact minimization of objectives over facility locations.
 
 Every per-group constituent (total, average, max cost, min cost) is piecewise
 linear in the facility location, with kinks only at agent locations, at
@@ -32,8 +32,9 @@ it combines them (`ObjectiveSpec._combiner`: iif1's sum, alt's gap, alt's
 ratio with its 0/0 convention) are written once and serve both `eval_point`
 at one point and the column pass at every kink, so the rule's side and the
 optimum's side of every ratio share one copy of each formula, and the value
-`optimize` reports is `eval_point` at the minimizer. `grid_optimize` is the
-independent numpy cross-check and deliberately shares none of it.
+`optimize` reports is `eval_point` at the minimizer. The tests check it
+against an independent numpy grid search (`tests/grid_oracle.py`), which
+deliberately shares none of it.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -48,19 +49,11 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import add, sub
-from typing import TYPE_CHECKING
 
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
 from .objectives import ObjectiveSpec, columns_along, combine, combine_along, eval_outcome, eval_point
 
-# numpy serves only the grid cross-check below, which imports it on first use
-# so that `import fairline` does not.
-if TYPE_CHECKING:
-    import numpy as np
-
-# Grid points per chunk, which bounds the (points x members) distance matrix.
-_GRID_CHUNK = 1 << 14
 # A constituent line interpolated in floats, va + t·(vb − va) with t in
 # (0, 1), lands within 1.5·eps·max(|va|, |vb|) of [min(va, vb), max(va, vb)].
 # On the span a group's total is at most its size times the span and any
@@ -277,113 +270,6 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
     location = minimizers[0]
     return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))
-
-
-def _distinct_weighted(profile: GroupedProfile) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    import numpy as np
-
-    out = []
-    for locs in profile.group_locations:
-        distinct: dict[float, int] = {}
-        for x in locs:
-            distinct[x] = distinct.get(x, 0) + 1
-        xs = np.array(sorted(distinct), dtype=float)
-        counts = np.array([distinct[x] for x in sorted(distinct)], dtype=float)
-        out.append((xs, counts, len(locs)))
-    return out
-
-
-def _distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|y - x| for each point y (rows) and member x (columns).
-
-    Filled a column at a time: numpy's broadcast over the short member axis
-    ran several times slower.
-    """
-    import numpy as np
-
-    diffs = np.empty((len(ys), len(xs)))
-    for j, x in enumerate(xs):
-        np.subtract(ys, x, out=diffs[:, j])
-    return np.abs(diffs, out=diffs)
-
-
-def _grid_values(groups: list[tuple[np.ndarray, np.ndarray, int]], spec: ObjectiveSpec, ys: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    totals = []
-    avgs = []
-    spreads = []
-    stats = []
-    for xs, counts, size in groups:
-        # Rounding keeps |y - x| monotone in x on either side of y, so the
-        # largest distance to the sorted members sits at an end member.
-        if spec.h == "max":
-            stats.append(np.maximum(np.abs(ys - xs[0]), np.abs(ys - xs[-1])))
-            continue
-        diffs = _distance_matrix(xs, ys)
-        total = diffs @ counts
-        if spec.kind == "mtgc":
-            totals.append(total)
-            continue
-        if spec.kind == "magc":
-            avgs.append(total / size)
-            continue
-        if spec.kind in ("iif1", "iif2"):
-            avgs.append(total / size)
-            # Column by column too: a row reduction over the members is slow.
-            nearest = diffs[:, 0].copy()
-            for j in range(1, len(xs)):
-                np.minimum(nearest, diffs[:, j], out=nearest)
-            spreads.append(np.maximum(diffs[:, 0], diffs[:, -1]) - nearest)
-            continue
-        if spec.h == "total":
-            stats.append(total)
-        else:
-            stats.append(total / size)
-    if spec.kind == "mtgc":
-        return np.maximum.reduce(totals)
-    if spec.kind == "magc":
-        return np.maximum.reduce(avgs)
-    if spec.kind == "iif1":
-        return np.maximum.reduce(avgs) + np.maximum.reduce(spreads)
-    if spec.kind == "iif2":
-        return np.maximum.reduce([a + s for a, s in zip(avgs, spreads)])
-    hi = np.maximum.reduce(stats)
-    lo = np.minimum.reduce(stats)
-    if spec.form == "a":
-        return hi - lo
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.where(lo > 0.0, hi / np.where(lo > 0.0, lo, 1.0), np.where(hi == 0.0, 1.0, np.inf))
-    return vals
-
-
-def grid_optimize(profile: GroupedProfile, spec: ObjectiveSpec, resolution: int) -> OptimalResult:
-    """Brute-force minimum over a uniform grid of `resolution` points on the span."""
-    import numpy as np
-
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    x1, xn = profile.span
-    if xn - x1 <= 0.0:
-        value = eval_point(profile, spec, x1)
-        if math.isinf(value):
-            raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
-        return OptimalResult(x1, value, (x1,))
-    grid = np.linspace(x1, xn, resolution)
-    weighted = _distinct_weighted(profile)
-    best_v = math.inf
-    best_y = x1
-    for start in range(0, resolution, _GRID_CHUNK):
-        ys = grid[start : start + _GRID_CHUNK]
-        vals = _grid_values(weighted, spec, ys)
-        i = int(np.argmin(vals))
-        v = float(vals[i])
-        if v < best_v:
-            best_v = v
-            best_y = float(ys[i])
-    if math.isinf(best_v):
-        raise UnboundedObjectiveError(f"{spec.label} is +inf at every grid point")
-    return OptimalResult(best_y, best_v, (best_y,))
 
 
 def ratio(profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec) -> RatioReport:

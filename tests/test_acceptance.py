@@ -24,7 +24,6 @@ from fairline import (
     batch_sp_audit,
     bound_conformance,
     eval_outcome,
-    grid_optimize,
     hill_climb,
     load_fixtures,
     lower_bound_probe,
@@ -34,6 +33,7 @@ from fairline import (
     run_corpus,
 )
 from fairline import families
+from grid_oracle import grid_optimize
 
 
 def _ratio_against(opt_value: float, mech_value: float) -> float:

@@ -138,7 +138,7 @@ class TestPerturb:
         for _ in range(200):
             candidate = _perturb(profile, rng, 0.1)
             i = replay.randrange(profile.n)
-            own = profile.agents[i].location
+            own = profile.locations[i]
             moved = min(1.0, max(0.0, own + replay.uniform(-0.1, 0.1)))
             if moved == own:
                 assert candidate is None

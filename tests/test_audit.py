@@ -44,7 +44,7 @@ class TestMisreportCandidates:
     def test_true_location_always_excluded(self):
         p = tight_largest_group_total()
         for i in range(p.n):
-            own = p.agents[i].location
+            own = p.locations[i]
             assert all(abs(c - own) > 1e-12 for c in misreport_candidates(p, i, 31))
 
     def test_half_pair_includes_far_extreme(self):

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from fairline import Agent, GroupedProfile, InvalidLocationError, agent_cost, build_profile, parse_mechanism
+from fairline import GroupedProfile, InvalidLocationError, agent_cost, build_profile, parse_mechanism
 from fairline import audit
 from fairline.instances import parse_instance, serialize_instance
 from fairline.audit import VIOLATION_TOL, AuditFinding, misreport_candidates, threshold_candidates
@@ -24,7 +24,7 @@ from fairline.mechanisms import MechanismId, as_mechanism_fn
 from conftest import mean_mechanism, random_pairs
 
 PROFILES = 10_000
-VIEWS = ("agents", "locations", "group_locations", "group_sizes", "group_medians")
+VIEWS = ("locations", "group_locations", "group_sizes", "group_medians")
 
 
 def _report(rng: random.Random, profile) -> float:
@@ -101,7 +101,7 @@ def test_nonfinite_report_rejected(report):
 
 @pytest.mark.parametrize("report", [math.nan, math.inf, -math.inf])
 def test_nonfinite_report_rejected_with_no_deviator(report):
-    # The path checks the report itself, not only through the Agents it builds.
+    # The path checks the report itself, even when no deviator takes it.
     profile = build_profile([(0, 1), (1, 1)], 1)
     with pytest.raises(InvalidLocationError):
         profile.with_reports((), report)
@@ -110,14 +110,13 @@ def test_nonfinite_report_rejected_with_no_deviator(report):
 
 
 def _zero_signs(profile) -> set[float]:
-    floats = [a.location for a in profile.agents] + [*profile.locations, *profile.group_medians]
+    floats = [*profile.locations, *profile.group_medians]
     for locs in profile.group_locations:
         floats.extend(locs)
     return {math.copysign(1.0, x) for x in floats if x == 0.0}
 
 
 def test_profiles_hold_one_zero():
-    assert math.copysign(1.0, Agent(-0.0, 1).location) == 1.0
     pairs = [(-0.0, 1), (0.0, 1), (-0.0, 2)]
     built = build_profile(pairs, 2)
     direct = GroupedProfile(((-0.0, 0.0), (-0.0,)))
@@ -152,7 +151,7 @@ def rebuild_audit_sets(mechanisms, profile, resolution, deviator_sets):
         truthful = fn(profile)
         found = []
         for deviators in deviator_sets:
-            true_loc = profile.agents[deviators[0]].location
+            true_loc = profile.locations[deviators[0]]
             t_cost = agent_cost(truthful, true_loc)
             if isinstance(mechanism, MechanismId):
                 cands = threshold_candidates(profile, deviators[0])

@@ -23,7 +23,7 @@ class TestParse:
         assert p.n == 4
         assert p.group_count == 2
         assert p.locations == (0.0, 0.6666666667, 1.0, 1.0)
-        assert tuple(a.group for a in p.agents) == (1, 1, 2, 2)
+        assert tuple(g for _, g in p.raw()) == (1, 1, 2, 2)
 
     def test_single_agent(self):
         p = parse_instance('{"schema_version":1,"groups":[[3]]}')

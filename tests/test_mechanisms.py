@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from fairline import (
     FacilityOutcome,
     MechanismId,
-    OutcomeError,
     build_profile,
     kldm,
     ldm,
@@ -141,9 +140,14 @@ class TestRandomizedRules:
         got = _three_point(left, right)
         assert [(pt.hex(), p.hex()) for pt, p in got.support] == [(pt.hex(), p.hex()) for pt, p in want.support]
 
-    def test_three_point_overflowed_midpoint_rejected(self):
-        with pytest.raises(OutcomeError):
-            _three_point(1.0e308, 1.7e308)
+    @pytest.mark.parametrize("pairs", [[(1e308, 1), (1.7e308, 2)], [(-1.7e308, 1), (-1e308, 2)]])
+    def test_rm_nrm_finite_when_the_ends_sum_overflows(self, pairs):
+        # The ends' sum overflows; the sum of their halves, ±1.35e308, does not.
+        profile = build_profile(pairs, 2)
+        left, right = profile.span
+        mid = math.copysign(1.35e308, left)
+        for rule in (rm, nrm):
+            assert rule(profile).support == ((left, 0.25), (mid, 0.5), (right, 0.25))
 
 
 class TestMechanismId:

@@ -14,7 +14,6 @@ from fairline import (
     ProfileError,
     agent_cost,
     build_profile,
-    group_summary,
 )
 
 from fairline import model
@@ -28,7 +27,7 @@ class TestBuildProfile:
     def test_two_agent_base_case(self):
         p = build_profile([(0, 1), (1, 2)], 2)
         assert p.locations == (0.0, 1.0)
-        assert tuple(a.group for a in p.agents) == (1, 2)
+        assert tuple(g for _, g in p.raw()) == (1, 2)
 
     def test_sorts_by_location(self):
         p = build_profile([(1, 1), (0, 1)], 1)
@@ -76,23 +75,21 @@ class TestBuildProfile:
 
     def test_colocated_tie_break_is_stable(self):
         p = build_profile([(0, 2), (0, 1), (0, 2)], 2)
-        assert tuple(a.group for a in p.agents) == (1, 2, 2)
+        assert tuple(g for _, g in p.raw()) == (1, 2, 2)
 
     def test_accessors(self):
         p = build_profile([(0, 1), (TWO_THIRDS, 1), (1, 2), (1, 2)], 2)
         assert p.n == 4
         assert p.span == (0.0, 1.0)
         assert p.group_sizes == (2, 2)
-        assert p.members(1) == (0.0, TWO_THIRDS)
+        assert p.group_locations[0] == (0.0, TWO_THIRDS)
         assert p.group_medians == (0.0, 1.0)
-        with pytest.raises(ProfileError):
-            p.members(3)
 
     def test_with_location_resorts(self):
         p = build_profile([(0, 1), (1, 2)], 2)
         q = p.with_location(0, 5.0)
         assert q.locations == (1.0, 5.0)
-        assert tuple(a.group for a in q.agents) == (2, 1)
+        assert tuple(g for _, g in q.raw()) == (2, 1)
 
     def test_with_group_keeps_partition_valid(self):
         p = build_profile([(0, 1), (1, 2), (2, 2)], 2)
@@ -108,7 +105,7 @@ class TestBuildProfile:
 
 
 class TestRelabel:
-    VIEWS = ("locations", "group_locations", "group_sizes", "group_medians", "agents")
+    VIEWS = ("locations", "group_locations", "group_sizes", "group_medians")
 
     def test_group_of_reads_the_profile_order(self):
         rng = random.Random(8_120)
@@ -191,7 +188,7 @@ class TestDirectConstructor:
         built = build_profile(pairs, 2)
         direct = GroupedProfile(((0.5, 0.5, 3.0), (0.0, 1.0)))
         assert direct == built and hash(direct) == hash(built)
-        for view in ("agents", "locations", "group_locations", "group_sizes", "group_medians"):
+        for view in ("locations", "group_locations", "group_sizes", "group_medians"):
             assert getattr(direct, view) == getattr(built, view), view
         assert direct.raw() == built.raw() and direct.group_count == 2
 
@@ -278,36 +275,16 @@ class TestAgentCost:
         assert agent_cost(out, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestGroupSummary:
-    def test_split_group_against_left_point(self):
-        p = build_profile([(0, 1), (TWO_THIRDS, 1), (1, 2), (1, 2)], 2)
-        s = group_summary(p, 1, FacilityOutcome.at(0.0))
-        assert s.total == pytest.approx(TWO_THIRDS, abs=1e-12)
-        assert s.average == pytest.approx(1 / 3, abs=1e-12)
-        assert s.maximum == pytest.approx(TWO_THIRDS, abs=1e-12)
-        assert s.minimum == 0.0
-
-    def test_colocated_pair(self):
-        p = build_profile([(0, 1), (TWO_THIRDS, 1), (1, 2), (1, 2)], 2)
-        s = group_summary(p, 2, FacilityOutcome.at(0.0))
-        assert (s.total, s.average, s.maximum, s.minimum) == (2.0, 1.0, 1.0, 1.0)
-
-    def test_singleton_at_facility(self):
-        p = build_profile([(5, 1)], 1)
-        s = group_summary(p, 1, FacilityOutcome.at(5.0))
-        assert (s.total, s.average, s.maximum, s.minimum) == (0.0, 0.0, 0.0, 0.0)
-
-
 @given(grouped_profiles(), st.floats(-3, 3, allow_nan=False))
 def test_translation_leaves_costs_unchanged(profile, delta):
     out = FacilityOutcome.lottery([(0.0, 0.25), (1.0, 0.25), (0.5, 0.5)])
     shifted_out = FacilityOutcome.lottery([(pt + delta, p) for pt, p in out.support])
     shifted = build_profile([(loc + delta, g) for loc, g in profile.raw()], profile.group_count)
-    for j in range(1, profile.group_count + 1):
-        a = group_summary(profile, j, out)
-        b = group_summary(shifted, j, shifted_out)
-        assert b.total == pytest.approx(a.total, abs=1e-9)
-        assert b.maximum == pytest.approx(a.maximum, abs=1e-9)
+    for locs, moved in zip(profile.group_locations, shifted.group_locations):
+        a = [agent_cost(out, x) for x in locs]
+        b = [agent_cost(shifted_out, x) for x in moved]
+        assert sum(b) == pytest.approx(sum(a), abs=1e-9)
+        assert max(b) == pytest.approx(max(a), abs=1e-9)
 
 
 @given(grouped_profiles(), st.floats(0.1, 10, allow_nan=False))
@@ -315,10 +292,10 @@ def test_positive_scaling_scales_costs(profile, scale):
     out = FacilityOutcome.at(0.25)
     scaled_out = FacilityOutcome.at(0.25 * scale)
     scaled = build_profile([(loc * scale, g) for loc, g in profile.raw()], profile.group_count)
-    for j in range(1, profile.group_count + 1):
-        a = group_summary(profile, j, out)
-        b = group_summary(scaled, j, scaled_out)
-        assert b.total == pytest.approx(a.total * scale, rel=1e-9, abs=1e-9)
+    for locs, moved in zip(profile.group_locations, scaled.group_locations):
+        a = sum(agent_cost(out, x) for x in locs)
+        b = sum(agent_cost(scaled_out, x) for x in moved)
+        assert b == pytest.approx(a * scale, rel=1e-9, abs=1e-9)
 
 
 @given(grouped_profiles())
@@ -329,13 +306,3 @@ def test_lottery_cost_is_mix_of_point_costs(profile):
         direct = agent_cost(out, loc)
         mixed = sum(p * agent_cost(FacilityOutcome.at(pt), loc) for pt, p in support)
         assert direct == pytest.approx(mixed, abs=1e-12)
-
-
-@given(grouped_profiles(), st.floats(-2, 2, allow_nan=False))
-def test_summary_ordering_invariant(profile, y):
-    out = FacilityOutcome.at(y)
-    for j in range(1, profile.group_count + 1):
-        s = group_summary(profile, j, out)
-        assert s.minimum <= s.average + 1e-12
-        assert s.average <= s.maximum + 1e-12
-        assert s.total == pytest.approx(s.average * profile.group_sizes[j - 1], abs=1e-9)

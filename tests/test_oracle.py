@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -25,12 +26,11 @@ from fairline import (
     breakpoints,
     build_profile,
     eval_point,
-    grid_optimize,
     optimize,
     parse_mechanism,
     ratio,
 )
-from fairline.oracle import UnboundedObjectiveError, _distinct_weighted, _grid_values
+from fairline.oracle import UnboundedObjectiveError
 from fairline.families import (
     group_median_family,
     single_group_two_clusters,
@@ -40,6 +40,7 @@ from fairline.families import (
 )
 
 from conftest import grouped_profiles, random_pairs
+from grid_oracle import _distinct_weighted, _grid_values, grid_optimize
 
 
 class TestBreakpoints:
@@ -315,9 +316,33 @@ def test_optimum_lies_between_extreme_group_medians(profile):
 
 
 def test_import_leaves_numpy_unloaded():
-    # Only the grid cross-check needs numpy; it imports it on first use.
+    # No package code needs numpy: importing fairline leaves it unloaded, and
+    # every command runs with it blocked (a None entry makes its import fail).
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, fairline, fairline.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    commands = [
+        ["fixtures"],
+        ["eval", "{fixture}", "--mech", "mgdm", "--obj", "mtgc"],
+        ["audit", "{fixture}", "--mech", "rm"],
+        ["search", "--mech", "mgdm", "--obj", "mtgc", "--restarts", "1", "--iterations", "20", "--bound", "3"],
+        ["sweep", "{fixtures}", "--mech", "mdm,rm", "--obj", "iif1,alt-b-max"],
+    ]
+    code = """
+import json, sys
+sys.modules["numpy"] = None
+from fairline import cli
+from fairline.fixtures import fixture_dir
+fixtures = str(fixture_dir())
+fixture = str(fixture_dir() / "tight_largest_group_total.json")
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(cli.main([a.format(fixture=fixture, fixtures=fixtures) for a in argv]))
+print(json.dumps(codes), file=sys.stderr)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stderr

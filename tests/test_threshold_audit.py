@@ -46,7 +46,7 @@ def _grid(profile, resolution):
 
 def _costs(rules, profile, deviators, reports):
     """costs[k][i]: rule k's expected cost to the deviators when they report reports[i]."""
-    own = profile.agents[deviators[0]].location
+    own = profile.locations[deviators[0]]
     costs = [[] for _ in rules]
     for r in reports:
         deviated = profile.with_reports(deviators, r)
@@ -80,7 +80,7 @@ def test_cost_is_affine_between_complete_set_points():
         tol = REL_TOL * max(xn - x1, abs(x1), abs(xn))
         grid = _grid(profile, RESOLUTION)
         for deviators in _deviator_sets(profile):
-            own = profile.agents[deviators[0]].location
+            own = profile.locations[deviators[0]]
             points = sorted(threshold_candidates(profile, deviators[0]) + [own])
             at_points = _costs(rules, profile, deviators, points)
             at_grid = _costs(rules, profile, deviators, grid)
@@ -105,7 +105,7 @@ def test_least_cost_over_complete_set_is_least_over_grids():
         tol = REL_TOL * max(xn - x1, abs(x1), abs(xn))
         grid = [x for resolution in resolutions for x in _grid(profile, resolution)]
         for deviators in _deviator_sets(profile):
-            own = profile.agents[deviators[0]].location
+            own = profile.locations[deviators[0]]
             points = threshold_candidates(profile, deviators[0]) + [own]
             on_set = _costs(rules, profile, deviators, points)
             on_grid = _costs(rules, profile, deviators, grid)
