@@ -17,6 +17,7 @@ from fairline import (
 )
 
 from fairline import model
+from fairline.objectives import IIF1, MTGC, alt, constituents
 
 from conftest import grouped_profiles, random_pairs
 
@@ -275,6 +276,38 @@ class TestAgentCost:
         assert agent_cost(out, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def _group_summary(profile, group, y):
+    """(total, average, maximum, minimum) expected cost over `group`'s members at facility y.
+
+    Read from the per-group constituents the objectives combine: mtgc's total,
+    iif1's average and spread, and alt's farthest member; the minimum is the
+    maximum less the spread.
+    """
+    j = group - 1
+    total = constituents(profile, MTGC, y)[0][j]
+    average, spread = (family[j] for family in constituents(profile, IIF1, y))
+    maximum = constituents(profile, alt("a", "max"), y)[0][j]
+    return total, average, maximum, maximum - spread
+
+
+class TestGroupSummary:
+    def test_split_group_against_left_point(self):
+        p = build_profile([(0, 1), (TWO_THIRDS, 1), (1, 2), (1, 2)], 2)
+        total, average, maximum, minimum = _group_summary(p, 1, 0.0)
+        assert total == pytest.approx(TWO_THIRDS, abs=1e-12)
+        assert average == pytest.approx(1 / 3, abs=1e-12)
+        assert maximum == pytest.approx(TWO_THIRDS, abs=1e-12)
+        assert minimum == 0.0
+
+    def test_colocated_pair(self):
+        p = build_profile([(0, 1), (TWO_THIRDS, 1), (1, 2), (1, 2)], 2)
+        assert _group_summary(p, 2, 0.0) == (2.0, 1.0, 1.0, 1.0)
+
+    def test_singleton_at_facility(self):
+        p = build_profile([(5, 1)], 1)
+        assert _group_summary(p, 1, 5.0) == (0.0, 0.0, 0.0, 0.0)
+
+
 @given(grouped_profiles(), st.floats(-3, 3, allow_nan=False))
 def test_translation_leaves_costs_unchanged(profile, delta):
     out = FacilityOutcome.lottery([(0.0, 0.25), (1.0, 0.25), (0.5, 0.5)])
@@ -306,3 +339,16 @@ def test_lottery_cost_is_mix_of_point_costs(profile):
         direct = agent_cost(out, loc)
         mixed = sum(p * agent_cost(FacilityOutcome.at(pt), loc) for pt, p in support)
         assert direct == pytest.approx(mixed, abs=1e-12)
+
+
+@given(grouped_profiles(), st.floats(-2, 2, allow_nan=False))
+def test_summary_ordering_invariant(profile, y):
+    out = FacilityOutcome.at(y)
+    for j, locs in enumerate(profile.group_locations, start=1):
+        total, average, maximum, minimum = _group_summary(profile, j, y)
+        assert minimum <= average + 1e-12
+        assert average <= maximum + 1e-12
+        assert total == pytest.approx(average * profile.group_sizes[j - 1], abs=1e-9)
+        costs = [agent_cost(out, x) for x in locs]
+        assert total == pytest.approx(sum(costs), abs=1e-9)
+        assert (maximum, minimum) == pytest.approx((max(costs), min(costs)), abs=1e-9)
