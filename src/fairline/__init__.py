@@ -71,6 +71,7 @@ from .oracle import (
     RatioReport,
     UnboundedObjectiveError,
     breakpoints,
+    optima,
     optimize,
     ratio,
 )

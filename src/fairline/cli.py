@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from .instances import ParseError, ValidationError, load_instance
 from .mechanisms import _RULES, MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
 from .model import GroupedProfile, build_profile
 from .objectives import ObjectiveSpec, parse_objective
-from .oracle import OptimalResult, optimize, ratio_to
+from .oracle import optima, optimize, ratio_to
 
 # Extension point used by tests to audit deliberately broken rules.
 EXTRA_MECHANISMS: dict[str, Callable] = {}
@@ -242,7 +243,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
         name = doc.name or path.stem
-        optima: dict[ObjectiveSpec, OptimalResult] = {}
+        optimum = optima(doc.profile, objectives)
         for mechanism in mechanisms:
             try:
                 outcome = as_mechanism_fn(mechanism)(doc.profile)
@@ -250,9 +251,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"warning: skipping {mechanism_label(mechanism)} on {path}: {exc}", file=sys.stderr)
                 continue
             for spec in objectives:
-                if spec not in optima:
-                    optima[spec] = optimize(doc.profile, spec)
-                report = ratio_to(doc.profile, outcome, spec, optima[spec])
+                report = ratio_to(doc.profile, outcome, spec, optimum(spec))
                 writer.writerow(
                     [
                         name,
@@ -270,7 +269,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if rows else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first `main` call and reused by later ones in the process.
+
+    Each subcommand's handler is bound when the parser is first built.
+    """
     parser = argparse.ArgumentParser(
         prog="fairline",
         description="Group-fair facility placement on a line: evaluate, audit, and stress-test placement rules.",

@@ -15,7 +15,11 @@ optimizer's kink pass) it holds one column per group instead, with the
 group's value at every point. Which constituents an objective combines
 (`_assembler`) and how it combines them (`ObjectiveSpec._combiner`) are
 written once and serve both forms, and the two agree bit for bit wherever
-they are built from the same constituent values.
+they are built from the same constituent values. Along many points the work
+comes in two steps: `stats_along` walks each group once for every per-group
+statistic a set of objectives reads, and `assemble_along` builds one
+objective's families from that result, so objectives that share points
+share the walk. `columns_along` is the one-objective case of the two.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .model import FacilityOutcome, GroupedProfile
 _KINDS = ("mtgc", "magc", "iif1", "iif2", "alt")
 _FORMS = ("a", "b")
 _HS = ("total", "average", "max")
+
+# The per-group statistics an objective's constituents read, as bit flags.
+_TOTALS, _SPREADS, _FARTHEST = 1, 2, 4
 
 
 def _ratio(hi: float, lo: float) -> float:
@@ -74,6 +81,15 @@ class ObjectiveSpec:
         if self.kind != "alt":
             return None
         return (sub if self.form == "a" else _ratio), 0, min
+
+    @cached_property
+    def _statistics(self) -> int:
+        """The per-group statistics `_assembler` reads for this objective, as `_TOTALS`-style flags."""
+        if self.h == "max":
+            return _FARTHEST
+        if self.kind in ("iif1", "iif2"):
+            return _TOTALS | _SPREADS
+        return _TOTALS
 
     @property
     def label(self) -> str:
@@ -146,9 +162,10 @@ def _assembler(
     entry per group in group order, and returns each family as a list with
     one entry per group. An entry is either a value at one point
     (`constituents`: `per_size` is division, `plus` addition) or a column of
-    values along many points (`columns_along`: the same operations, entry by
-    entry). It reads only the statistics the objective combines, each at
-    most once, so callers may pass lazy iterables or nothing for the rest.
+    values along many points (`assemble_along`: the same operations, entry by
+    entry). It reads only the statistics the objective combines
+    (`ObjectiveSpec._statistics`), each at most once, so callers may pass
+    lazy iterables or nothing for the rest.
     """
     kind = spec.kind
     if kind == "mtgc" or spec.h == "total":
@@ -231,6 +248,49 @@ def _added(a: list[float], b: list[float]) -> list[float]:
     return list(map(add, a, b))
 
 
+GroupStats = tuple[list[list[float]], list[list[float]], list[list[float]]]
+
+
+def stats_along(profile: GroupedProfile, ys: Sequence[float], specs: Iterable[ObjectiveSpec]) -> GroupStats:
+    """Every per-group statistic any objective in `specs` reads, at each of the ascending points `ys`.
+
+    Returns (totals, spreads, farthest), each holding one column per group
+    with the group's value at every point of `ys`, or an empty list when no
+    objective in `specs` reads that statistic. One `_sweep_group` pass per
+    group gives the totals, and the spreads with them when any objective is
+    iif1 or iif2; farthest-member distances (alt h="max") are taken point by
+    point. What one objective reads does not depend on what the others
+    read, so `assemble_along` of the result is bit-identical whichever other
+    objectives share it.
+    """
+    need = 0
+    for spec in specs:
+        need |= spec._statistics
+    groups = profile.group_locations
+    totals: list[list[float]] = []
+    spreads: list[list[float]] = []
+    farthest: list[list[float]] = []
+    if need & _FARTHEST:
+        farthest = [[_farthest(locs, y) for y in ys] for locs in groups]
+    if need & _TOTALS:
+        x1, xn = profile.span
+        reach = max(xn, ys[-1]) - min(x1, ys[0]) if ys else 0.0
+        swept = [_sweep_group(locs, ys, reach, need & _SPREADS != 0) for locs in groups]
+        totals = [col for col, _ in swept]
+        spreads = [col for _, col in swept]
+    return totals, spreads, farthest
+
+
+def assemble_along(profile: GroupedProfile, spec: ObjectiveSpec, stats: GroupStats) -> tuple[list[list[float]], ...]:
+    """The families `spec` combines, one column per group, from `stats_along`'s result.
+
+    `stats` must hold every statistic `spec` reads. The result shares its
+    columns with `stats` and with other objectives' families, so callers
+    must not modify it.
+    """
+    return _assembler(spec, profile.group_sizes, _scaled, _added)(*stats)
+
+
 def columns_along(profile: GroupedProfile, spec: ObjectiveSpec, ys: Sequence[float]) -> tuple[list[list[float]], ...]:
     """`constituents` at each of the ascending points `ys`, as one column per group.
 
@@ -242,19 +302,7 @@ def columns_along(profile: GroupedProfile, spec: ObjectiveSpec, ys: Sequence[flo
     running offset sums, not from a direct sum at each point) and are
     exactly 0.0 for a group whose members all sit at the point.
     """
-    groups = profile.group_locations
-    totals: list[list[float]] = []
-    spreads: list[list[float]] = []
-    farthest: list[list[float]] = []
-    if spec.h == "max":
-        farthest = [[_farthest(locs, y) for y in ys] for locs in groups]
-    else:
-        x1, xn = profile.span
-        reach = max(xn, ys[-1]) - min(x1, ys[0]) if ys else 0.0
-        swept = [_sweep_group(locs, ys, reach, spec.kind in ("iif1", "iif2")) for locs in groups]
-        totals = [col for col, _ in swept]
-        spreads = [col for _, col in swept]
-    return _assembler(spec, profile.group_sizes, _scaled, _added)(totals, spreads, farthest)
+    return assemble_along(profile, spec, stats_along(profile, ys, (spec,)))
 
 
 def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:

@@ -36,6 +36,15 @@ optimum's side of every ratio share one copy of each formula, and the value
 against an independent numpy grid search (`tests/grid_oracle.py`), which
 deliberately shares none of it.
 
+`optima(profile, specs)` serves a caller that wants several objectives'
+optima on one profile, as `fairline sweep` does. mtgc and magc search the
+same kinks (the agent locations), and so do all the other objectives
+(`breakpoints`), so it sweeps each group once per kink grid, for every
+statistic its objectives read (`objectives.stats_along`), and then runs
+`optimize`'s own selection (`_select`) once per objective. Grids and optima
+are computed on first request. `optimize` stays the one-objective call and
+builds nothing it does not use.
+
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
 linear piece of the quotient is monotone between candidates, so the same
@@ -47,12 +56,23 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from operator import add, sub
 
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
-from .objectives import ObjectiveSpec, columns_along, combine, combine_along, eval_outcome, eval_point
+from .objectives import (
+    GroupStats,
+    ObjectiveSpec,
+    assemble_along,
+    columns_along,
+    combine,
+    combine_along,
+    eval_outcome,
+    eval_point,
+    stats_along,
+)
 
 # A constituent line interpolated in floats, va + t·(vb − va) with t in
 # (0, 1), lands within 1.5·eps·max(|va|, |vb|) of [min(va, vb), max(va, vb)].
@@ -64,6 +84,9 @@ from .objectives import ObjectiveSpec, columns_along, combine, combine_along, ev
 # may overflow too, and no floor bounds an interpolated inf - inf.
 _FLOOR_SLACK = 8.0 * sys.float_info.epsilon
 
+# Objectives that are convex in the facility location: max of convex totals.
+_CONVEX = ("mtgc", "magc")
+
 
 class UnboundedObjectiveError(ValueError):
     """Every candidate location evaluates to +inf (degenerate ratio instance)."""
@@ -72,8 +95,9 @@ class UnboundedObjectiveError(ValueError):
 class ObjectiveOverflowError(ValueError):
     """The objective's candidate values leave the float range, so no optimum can be told.
 
-    Raised when the least candidate value is NaN: past the float maximum a
-    constituent reads inf - inf.
+    Raised when the least candidate value is NaN, since past the float
+    maximum a constituent reads inf - inf, and when the value re-evaluated
+    at the minimizer is inf or NaN while 2·n·span overflows.
     """
 
 
@@ -190,6 +214,12 @@ def _row(columns: tuple[list[list[float]], ...], k: int) -> tuple[list[float], .
     return tuple([column[k] for column in family] for family in columns)
 
 
+def _constituent_bound(profile: GroupedProfile) -> float:
+    """2·n·span, which bounds every constituent on the span; inf when it overflows."""
+    x1, xn = profile.span
+    return 2.0 * profile.n * (xn - x1)
+
+
 def _tie_tol(value: float) -> float:
     """How far above the optimum `value` a candidate still counts as tied with it.
 
@@ -215,23 +245,79 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
     re-evaluated by `eval_point`; `minimizers` lists every evaluated
     candidate tied with the optimum up to rounding noise (`_tie_tol`).
     Raises UnboundedObjectiveError when every candidate is +inf, and
-    ObjectiveOverflowError when the least candidate value is NaN, which
-    only coordinates near the float maximum bring about.
+    ObjectiveOverflowError when the least candidate value is NaN or when
+    the value at the minimizer is not finite while 2·n·span overflows; only
+    coordinates near the float maximum bring either about.
     """
     x1, xn = profile.span
     if xn - x1 <= 0.0:
-        value = eval_point(profile, spec, x1)
-        if math.isinf(value):
-            raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
-        return OptimalResult(x1, value, (x1,))
+        return _at_one_point(profile, spec, x1)
+    pts = _kinks(profile, spec)
+    return _select(profile, spec, pts, columns_along(profile, spec, pts))
 
+
+def optima(profile: GroupedProfile, specs: Iterable[ObjectiveSpec]) -> Callable[[ObjectiveSpec], OptimalResult]:
+    """The optima of every objective in `specs` on one profile: spec -> `optimize(profile, spec)`.
+
+    Objectives that search the same kinks share one group sweep: mtgc and
+    magc the merged agent locations, every other objective `breakpoints`.
+    The returned function takes that sweep (`stats_along`, for every
+    statistic the objectives of `specs` on those kinks read) on the first
+    call that needs it, and each optimum on its first call; later calls
+    return the same result. A spec whose optimum raises raises on each call.
+    Every result is bit-identical to `optimize`'s, which runs the same
+    selection. Raises KeyError for a spec not in `specs`.
+    """
+    wanted = tuple(specs)
+    x1, xn = profile.span
+    sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
+    found: dict[ObjectiveSpec, OptimalResult] = {}
+
+    def optimum(spec: ObjectiveSpec) -> OptimalResult:
+        if spec in found:
+            return found[spec]
+        if spec not in wanted:
+            raise KeyError(f"{spec.label} is not among the objectives these optima were set up for")
+        if xn - x1 <= 0.0:
+            result = _at_one_point(profile, spec, x1)
+        else:
+            convex = spec.kind in _CONVEX
+            if convex not in sweeps:
+                pts = _kinks(profile, spec)
+                sharing = [s for s in wanted if (s.kind in _CONVEX) == convex]
+                sweeps[convex] = pts, stats_along(profile, pts, sharing)
+            pts, stats = sweeps[convex]
+            result = _select(profile, spec, pts, assemble_along(profile, spec, stats))
+        found[spec] = result
+        return result
+
+    return optimum
+
+
+def _at_one_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> OptimalResult:
+    """The optimum of a profile whose agents all sit at `y`."""
+    value = eval_point(profile, spec, y)
+    if math.isinf(value):
+        raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
+    return OptimalResult(y, value, (y,))
+
+
+def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
+    """The points whose values `_select` needs: the agent locations for mtgc and magc, else `breakpoints`."""
+    if spec.kind in _CONVEX:
+        # Convex objectives kink only at agent locations.
+        return _merge_close(sorted(set(profile.locations)))
+    return breakpoints(profile)
+
+
+def _select(
+    profile: GroupedProfile, spec: ObjectiveSpec, pts: Sequence[float], columns: tuple[list[list[float]], ...]
+) -> OptimalResult:
+    """`optimize`'s search and selection, given the families at every kink `pts` as columns."""
+    values = combine_along(spec, columns)
     candidates: list[tuple[float, float]]
-    if spec.kind in ("mtgc", "magc"):
-        # Convex objectives: kinks sit only at agent locations, and the true
-        # minimum lies in one of the two intervals around the best kink.
-        pts = _merge_close(sorted(set(profile.locations)))
-        columns = columns_along(profile, spec, pts)
-        values = combine_along(spec, columns)
+    if spec.kind in _CONVEX:
+        # The true minimum lies in one of the two intervals around the best kink.
         i0 = values.index(min(values))
         candidates = list(zip(pts, values))
         for lo in (i0 - 1, i0):
@@ -241,14 +327,11 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
                     _crossing_candidates(spec, pts[lo], _row(columns, lo), pts[hi], _row(columns, hi))
                 )
     else:
-        pts = breakpoints(profile)
-        columns = columns_along(profile, spec, pts)
-        values = combine_along(spec, columns)
         # No crossing in an interval whose floor exceeds the best kink's tie
         # window can be a minimizer. A NaN floor (inf slack) is searched.
         best = min((v for v in values if not math.isinf(v)), default=math.inf)
         cut = best + _tie_tol(best)
-        slack = _FLOOR_SLACK * (2.0 * profile.n * (xn - x1))
+        slack = _FLOOR_SLACK * _constituent_bound(profile)
         candidates = [(pts[0], values[0])]
         for k, floor in enumerate(_interval_floors(spec, columns, slack)):
             if not floor > cut:
@@ -269,7 +352,14 @@ def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
     tied = vmin + _tie_tol(vmin)
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
     location = minimizers[0]
-    return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))
+    value = eval_point(profile, spec, location)
+    if not math.isfinite(value) and math.isinf(_constituent_bound(profile)):
+        # The minimizer's swept value is finite, and a direct sum there
+        # overflows: no optimum can be told.
+        raise ObjectiveOverflowError(
+            f"{spec.label} overflows the float range on this instance (its value at {location!r} reads {value})"
+        )
+    return OptimalResult(location, value, tuple(minimizers))
 
 
 def ratio(profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec) -> RatioReport:

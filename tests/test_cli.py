@@ -1,10 +1,15 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fairline import cli, families, oracle
+from fairline import ALT_OBJECTIVES, MAGC, MAIN_OBJECTIVES, MTGC, cli, families, oracle
 from fairline.fixtures import Fixture, fixture_dir
 from fairline.instances import load_instance, serialize_instance
 from fairline.mechanisms import MechanismId
@@ -17,6 +22,13 @@ PAIR = fixture_dir() / "singleton_pair.json"
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def fresh_python(*args):
+    """A new interpreter run with `args`, importing `fairline` from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def load_schema(name):
@@ -276,22 +288,44 @@ class TestSweep:
         assert 1.9 <= worst[("nrm", "magc")] <= 2.0 + 1e-9
 
     def test_each_optimum_computed_once(self, capsys, monkeypatch):
-        calls = []
-        original = oracle.optimize
+        # mtgc and magc search the same kinks, so each instance takes one
+        # group sweep for both, and each optimum is selected once for all
+        # three rules.
+        selected, swept = [], []
+        select, stats_along = oracle._select, oracle.stats_along
 
-        def counted(profile, spec):
-            calls.append(spec)
-            return original(profile, spec)
+        def counted_select(profile, spec, pts, columns):
+            selected.append(spec)
+            return select(profile, spec, pts, columns)
 
-        monkeypatch.setattr(oracle, "optimize", counted)
-        monkeypatch.setattr(cli, "optimize", counted, raising=False)
+        def counted_stats(profile, ys, specs):
+            swept.append(tuple(specs))
+            return stats_along(profile, ys, specs)
+
+        monkeypatch.setattr(oracle, "_select", counted_select)
+        monkeypatch.setattr(oracle, "stats_along", counted_stats)
         code = run_cli(
             ["sweep", str(fixture_dir()), "--mech", "mdm,mgdm,nrm", "--obj", "mtgc,magc"]
         )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 72
-        assert len(calls) == 24
+        assert len(selected) == 24
+        assert swept == [(MTGC, MAGC)] * 12
+
+    # sha256 of the CSV below, taken before objectives shared their group
+    # sweeps: every built-in rule (mog:2 skips the two one-group instances)
+    # against all ten objectives on the packaged corpus.
+    CORPUS_DIGEST = "f62254806cdf602992ec9c7314ed5f7ffb469842ad4f5dceaf0651dd2577a8d1"
+
+    def test_corpus_sweep_is_pinned(self, capsys):
+        rules = "mdm,ldm,kldm:1,kldm:2,mgdm,rm,nrm,mogm,mog:1,mog:2"
+        objectives = ",".join(spec.label for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES)
+        code = run_cli(["sweep", str(fixture_dir()), "--mech", rules, "--obj", objectives])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 10 * 10 * 12 - 2 * 10
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CORPUS_DIGEST
 
     def test_each_rule_applied_once_per_instance(self, capsys, monkeypatch):
         calls = []
@@ -347,3 +381,43 @@ class TestSweep:
         row = next(r for r in csv.DictReader(io.StringIO(out)) if r["instance"] == "tight_average_family_k50")
         assert row["ratio"] == f"{300 / 101:.12g}"
         assert float(row["ratio"]) == pytest.approx(300 / 101, rel=1e-11)
+
+
+class TestParser:
+    def test_import_builds_no_parser(self):
+        out = fresh_python("-c", "import fairline.cli as cli; print(cli._build_parser.cache_info().currsize)")
+        assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+    def test_one_parser_per_process(self, capsys):
+        run_cli(["eval", str(PAIR), "--mech", "mdm", "--obj", "mtgc"])
+        run_cli(["audit", str(PAIR), "--mech", "rm"])
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().currsize == 1
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [
+                ["eval", str(TIGHT), "--mech", "mgdm", "--obj", "mtgc", "--json", "--normalize"],
+                ["eval", str(TIGHT), "--mech", "mgdm", "--obj", "mtgc"],
+            ],
+            [
+                ["search", "--mech", "mgdm", "--obj", "mtgc", "--n", "3", "--bound", "3", "--seed-family", "none"],
+                ["search", "--mech", "mgdm", "--obj", "mtgc"],
+            ],
+            [
+                ["sweep", str(fixture_dir()), "--mech", "mdm", "--obj", "mtgc,alt-b-max"],
+                ["fixtures", "--filter", "no fixture or check has this name"],
+                ["sweep", str(fixture_dir()), "--mech", "nrm", "--obj", "iif1"],
+            ],
+        ],
+    )
+    def test_repeated_calls_print_what_fresh_processes_print(self, capsys, calls):
+        # The parser is shared by every call in a process; no flag or
+        # default of one call may reach the next.
+        for argv in calls:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            fresh = fresh_python("-m", "fairline.cli", *argv)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -5,16 +5,21 @@ kinks and crossings as `optimize` and selects the optimum by the same tie
 rule, but on the non-convex path it searches crossings on every interval.
 The cut skips only intervals whose crossings all lie above the optimum's tie
 window, so the two must agree bit for bit.
+
+`optima`, which shares each group sweep between the objectives it is given,
+must agree with `optimize` bit for bit on the same profiles, whichever
+objectives share a sweep and in whatever order they are asked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
-from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, build_profile, optimize
+from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, build_profile, optima, optimize
 from fairline import oracle
 from fairline.model import _merge_close
 from fairline.objectives import columns_along, combine, eval_point
@@ -67,7 +72,10 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
         raise ObjectiveOverflowError(spec.label)
     tied = vmin + _tie_tol(vmin)
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
-    return OptimalResult(minimizers[0], eval_point(profile, spec, minimizers[0]), tuple(minimizers))
+    value = eval_point(profile, spec, minimizers[0])
+    if not math.isfinite(value) and math.isinf(2.0 * profile.n * (xn - x1)):
+        raise ObjectiveOverflowError(spec.label)
+    return OptimalResult(minimizers[0], value, tuple(minimizers))
 
 
 def _outcome(optimizer, profile, spec):
@@ -84,13 +92,18 @@ def _assert_same_optimum(profile, spec, context):
     assert _outcome(optimize, profile, spec) == want, (context, spec.label, profile.raw())
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e15])
-def test_cut_matches_every_interval_search(scale):
+def _draws(scale):
     rng = random.Random(4_417)
-    for k in range(DRAWS):
+    for _ in range(DRAWS):
         profile = _random_profile(rng)
         if scale != 1.0:
             profile = build_profile([(x * scale, g) for x, g in profile.raw()], profile.group_count)
+        yield profile
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e15])
+def test_cut_matches_every_interval_search(scale):
+    for k, profile in enumerate(_draws(scale)):
         for spec in SPECS:
             _assert_same_optimum(profile, spec, (k, scale))
 
@@ -111,6 +124,54 @@ def test_cut_matches_every_interval_search_near_float_max(raw):
     profile = build_profile(raw, max(g for _, g in raw))
     for spec in SPECS:
         _assert_same_optimum(profile, spec, raw)
+
+
+def _assert_optima_match_optimize(profile, specs, asked, want):
+    # Each of `asked` from one `optima(profile, specs)`, asked twice: the
+    # second answer is the first one, not a recomputation.
+    optimum = optima(profile, specs)
+    for spec in asked:
+        got = _outcome(lambda _, s: optimum(s), profile, spec)
+        assert got == want[spec], (specs, spec.label, profile.raw())
+        if not isinstance(got, type):
+            assert optimum(spec) is optimum(spec)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e15])
+def test_optima_match_optimize(scale):
+    # All ten objectives in a random order, split at a random point into two
+    # `optima` calls, each asked in another random order.
+    rng = random.Random(7_103)
+    for profile in _draws(scale):
+        want = {spec: _outcome(optimize, profile, spec) for spec in SPECS}
+        specs = rng.sample(SPECS, len(SPECS))
+        cut = rng.randint(1, len(SPECS))
+        for part in (specs[:cut], specs[cut:]):
+            _assert_optima_match_optimize(profile, part, rng.sample(part, len(part)), want)
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in NEAR_FLOAT_MAX] + OVERFLOWING + [
+    [(0.0, 1), (5.0, 1), (5.0, 2), (12.0, 2)],
+    [(-2.79, 1), (-2.79, 1), (-2.79, 2), (-2.32, 1), (-0.78, 2), (-0.61, 3), (1.33, 2), (1.55, 3)],
+])
+def test_optima_match_optimize_for_every_subset(raw):
+    # What an objective's group sweep holds depends only on which objectives
+    # share its kinks, and on which of them is asked first.
+    profile = build_profile(raw, max(g for _, g in raw))
+    want = {spec: _outcome(optimize, profile, spec) for spec in SPECS}
+    rng = random.Random(5_501)
+    for size in range(1, len(SPECS) + 1):
+        for subset in itertools.combinations(SPECS, size):
+            specs = rng.sample(subset, size)
+            _assert_optima_match_optimize(profile, specs, rng.sample(specs, size), want)
+
+
+def test_optima_refuse_an_objective_they_were_not_given():
+    profile = build_profile([(0.0, 1), (5.0, 1), (5.0, 2), (12.0, 2)], 2)
+    optimum = optima(profile, MAIN_OBJECTIVES)
+    assert optimum(IIF1) == optimize(profile, IIF1)
+    with pytest.raises(KeyError, match="alt-a-max"):
+        optimum(ALT_OBJECTIVES[2])
 
 
 def test_cut_searches_few_intervals(monkeypatch):

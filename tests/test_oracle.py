@@ -127,6 +127,18 @@ class TestOverflow:
             optimize(profile, IIF1)
         assert issubclass(ObjectiveOverflowError, ValueError)
 
+    def test_infinite_optimum_raises_a_named_error(self):
+        # Every listed minimizer's swept value is finite, but the direct sum
+        # at the first one overflows, and so does 2·n·span.
+        profile = build_profile(
+            [(-4.145137842670136e307, 1), (0.0, 2), (-8.308694924264462e299, 3), (1.7e308, 4)], 4
+        )
+        for spec in (IIF1,) + ALT_OBJECTIVES:
+            with pytest.raises(ObjectiveOverflowError, match=f"{spec.label} overflows the float range"):
+                optimize(profile, spec)
+        for spec in (MTGC, MAGC, IIF2):
+            assert math.isfinite(optimize(profile, spec).value)
+
     def test_two_group_profiles_past_the_float_range_fail_only_by_name(self):
         # Every two-group profile of 2-4 agents on these coordinates, for
         # every objective: 16,344 of these calls once raised a bare IndexError.
