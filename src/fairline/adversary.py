@@ -92,17 +92,16 @@ def _perturb(
     profile: GroupedProfile,
     rng: random.Random,
     scale: float,
-    paths: dict[int, Callable[[float], GroupedProfile]] | None = None,
+    paths: dict[int, Callable[[float], GroupedProfile]],
 ) -> GroupedProfile | None:
     """One local move: jitter a location (clamped to [0, 1]) or relabel a group.
 
     Returns None when a relabel would empty a group or a clamped jitter leaves
     the agent where it was; such moves are skipped, not repaired. A null
     jitter would only copy the profile, whose ratio cannot beat its own.
-    `paths`, when given, holds deviation paths of `profile`'s agents by
-    index; a jitter reuses the agent's path, adding it if missing, and
-    returns what `with_location` would. The caller empties it when the
-    profile changes.
+    `paths` holds deviation paths of `profile`'s agents by index; a jitter
+    reuses the agent's path (`GroupedProfile.deviations`), adding it if
+    missing. The caller empties it when the profile changes.
     """
     n = profile.n
     if profile.group_count > 1 and rng.random() < 0.25:
@@ -117,8 +116,6 @@ def _perturb(
     moved = min(1.0, max(0.0, own + rng.uniform(-scale, scale)))
     if moved == own:
         return None
-    if paths is None:
-        paths = {}
     if i not in paths:
         paths[i] = profile.deviations((i,))
     return paths[i](moved)

@@ -19,7 +19,7 @@ from .model import GroupedProfile
 from .objectives import parse_objective
 from .oracle import optimize, ratio
 
-# Default absolute tolerance of every corpus check.
+# Absolute tolerance of every corpus check.
 ABS_TOL = 1e-9
 
 
@@ -58,25 +58,25 @@ def _expected_number(value) -> float:
     return float(value)
 
 
-def _close(a: float, b: float, tol: float) -> bool:
+def _close(a: float, b: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
-    return abs(a - b) <= tol
+    return abs(a - b) <= ABS_TOL
 
 
-def _check_support(fixture: Fixture, chk: dict, tol: float) -> tuple[bool, str]:
+def _check_support(fixture: Fixture, chk: dict) -> tuple[bool, str]:
     outcome = parse_mechanism(chk["mechanism"]).apply(fixture.profile)
     expected = [(float(pt), float(p)) for pt, p in chk["support"]]
     got = list(outcome.support)
     if len(got) != len(expected):
         return False, f"support size {len(got)} != {len(expected)}"
     for (gp, gq), (ep, eq) in zip(got, sorted(expected)):
-        if not (_close(gp, ep, tol) and _close(gq, eq, tol)):
+        if not (_close(gp, ep) and _close(gq, eq)):
             return False, f"support {got} != {expected}"
     return True, ""
 
 
-def _check_values(fixture: Fixture, chk: dict, tol: float) -> tuple[bool, str]:
+def _check_values(fixture: Fixture, chk: dict) -> tuple[bool, str]:
     spec = parse_objective(chk["objective"])
     if "mechanism" in chk:
         report = ratio(fixture.profile, parse_mechanism(chk["mechanism"]), spec)
@@ -93,27 +93,27 @@ def _check_values(fixture: Fixture, chk: dict, tol: float) -> tuple[bool, str]:
         if key not in chk:
             continue
         want = _expected_number(chk[key])
-        if not _close(got, want, tol):
+        if not _close(got, want):
             return False, f"{key}: expected {want!r}, got {got!r}"
     return True, ""
 
 
-def run_fixture(fixture: Fixture, tol: float = ABS_TOL) -> list[CheckResult]:
+def run_fixture(fixture: Fixture) -> list[CheckResult]:
     """Evaluate every expected annotation of one fixture."""
     results = []
     for chk in fixture.checks:
         mech = chk.get("mechanism", "oracle")
         if "support" in chk:
             label = f"{mech}/support"
-            passed, detail = _check_support(fixture, chk, tol)
+            passed, detail = _check_support(fixture, chk)
         else:
             label = f"{mech}/{chk['objective']}"
-            passed, detail = _check_values(fixture, chk, tol)
+            passed, detail = _check_values(fixture, chk)
         results.append(CheckResult(fixture.name, label, passed, detail))
     return results
 
 
-def run_corpus(name_filter: str | None = None, tol: float = ABS_TOL) -> list[CheckResult]:
+def run_corpus(name_filter: str | None = None) -> list[CheckResult]:
     """Run every fixture check, optionally filtered by substring.
 
     The filter matches the fixture name, the mechanism label, or the
@@ -121,7 +121,7 @@ def run_corpus(name_filter: str | None = None, tol: float = ABS_TOL) -> list[Che
     """
     results = []
     for fixture in load_fixtures():
-        for res in run_fixture(fixture, tol):
+        for res in run_fixture(fixture):
             if name_filter and name_filter not in fixture.name and name_filter not in res.label:
                 continue
             results.append(res)

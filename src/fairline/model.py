@@ -102,32 +102,21 @@ class GroupedProfile:
         """(location, group) pairs, in profile order."""
         return sorted((x, g) for g, members in enumerate(self.group_locations, start=1) for x in members)
 
-    def with_location(self, index: int, location: float) -> "GroupedProfile":
-        """New profile with agent `index` reporting `location` instead."""
-        return self.with_reports((index,), location)
-
-    def with_reports(self, indices: Iterable[int], location: float) -> "GroupedProfile":
-        """New profile with every agent in `indices` reporting `location` instead.
-
-        Equal to `build_profile` on the edited (location, group) pairs, views
-        and signs of zero included; see `deviations`, whose path this calls
-        once. Indices follow sequence indexing, negative ones included. Raises
-        InvalidLocationError if `location` is not finite, even when `indices`
-        is empty.
-        """
-        return self.deviations(indices)(location)
-
     def deviations(self, indices: Iterable[int]) -> Callable[[float], "GroupedProfile"]:
         """The deviation path of the agents in `indices`: report -> deviated profile.
 
-        The deviators are taken out of `locations` and out of their groups'
-        members once, here; each call of the returned function inserts copies
-        of one report instead of re-sorting and re-validating. The views of
-        the groups no deviator belongs to are reused, and the deviators keep
-        their groups, so every group stays non-empty. Each call returns what
-        `with_reports(indices, report)` specifies and changes no state, so
-        one path serves any number of reports, in any order. A report of
-        -0.0 goes in as 0.0, as in every profile.
+        Each call returns the profile in which every agent in `indices`
+        reports `report` instead, equal to `build_profile` on the edited
+        (location, group) pairs, views and signs of zero included. Indices
+        follow sequence indexing, negative ones included. The deviators are
+        taken out of `locations` and out of their groups' members once,
+        here; each call inserts copies of one report instead of re-sorting
+        and re-validating. The views of the groups no deviator belongs to
+        are reused, and the deviators keep their groups, so every group stays
+        non-empty. A call changes no state, so one path serves any number of
+        reports, in any order. A report of -0.0 goes in as 0.0, as in every
+        profile. A call raises InvalidLocationError if `report` is not
+        finite, even when `indices` is empty.
         """
         locs = self.locations
         movers = sorted(set(map(range(len(locs)).__getitem__, indices)))

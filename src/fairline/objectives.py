@@ -10,16 +10,16 @@ not as the objective of expected costs.
 
 Each objective combines one or two families of per-group constituents. At
 one point (`constituents`, `combine`, `eval_point`) a family holds one value
-per group. Along many points (`columns_along`, `combine_along`, the exact
+per group. Along many points (`assemble_along`, `combine_along`, the exact
 optimizer's kink pass) it holds one column per group instead, with the
 group's value at every point. Which constituents an objective combines
 (`_assembler`) and how it combines them (`ObjectiveSpec._combiner`) are
 written once and serve both forms, and the two agree bit for bit wherever
-they are built from the same constituent values. Along many points the work
-comes in two steps: `stats_along` walks each group once for every per-group
-statistic a set of objectives reads, and `assemble_along` builds one
-objective's families from that result, so objectives that share points
-share the walk. `columns_along` is the one-objective case of the two.
+they are built from the same per-group statistics. Along many points the
+work comes in two steps: `stats_along` walks each group once for every
+per-group statistic a set of objectives reads (one objective's, or several
+that share the points), and `assemble_along` builds one objective's families
+from that result.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _FORMS = ("a", "b")
 _HS = ("total", "average", "max")
 
 # The per-group statistics an objective's constituents read, as bit flags.
-_TOTALS, _SPREADS, _FARTHEST = 1, 2, 4
+_TOTALS, _AVERAGES, _SPREADS, _FARTHEST = 1, 2, 4, 8
 
 
 def _ratio(hi: float, lo: float) -> float:
@@ -88,8 +88,10 @@ class ObjectiveSpec:
         if self.h == "max":
             return _FARTHEST
         if self.kind in ("iif1", "iif2"):
-            return _TOTALS | _SPREADS
-        return _TOTALS
+            return _AVERAGES | _SPREADS
+        if self.kind == "mtgc" or self.h == "total":
+            return _TOTALS
+        return _AVERAGES
 
     @property
     def label(self) -> str:
@@ -150,33 +152,27 @@ def _farthest(locs: tuple[float, ...], y: float) -> float:
     return max(abs(y - locs[0]), abs(y - locs[-1]))
 
 
-def _assembler(
-    spec: ObjectiveSpec,
-    sizes: Sequence[int],
-    per_size: Callable[[Any, int], Any],
-    plus: Callable[[Any, Any], Any],
-) -> Callable[..., tuple[list[Any], ...]]:
+def _assembler(spec: ObjectiveSpec, plus: Callable[[Any, Any], Any]) -> Callable[..., tuple[list[Any], ...]]:
     """Which constituent families `spec` combines, built from per-group statistics.
 
-    The returned function takes (totals, spreads, farthest), each holding one
-    entry per group in group order, and returns each family as a list with
-    one entry per group. An entry is either a value at one point
-    (`constituents`: `per_size` is division, `plus` addition) or a column of
-    values along many points (`assemble_along`: the same operations, entry by
-    entry). It reads only the statistics the objective combines
-    (`ObjectiveSpec._statistics`), each at most once, so callers may pass
-    lazy iterables or nothing for the rest.
+    The returned function takes (totals, averages, spreads, farthest), each
+    holding one entry per group in group order, and returns each family as a
+    list with one entry per group. An entry is either a value at one point
+    (`constituents`: `plus` is addition) or a column of values along many
+    points (`assemble_along`: addition entry by entry). It reads only the
+    statistics the objective combines (`ObjectiveSpec._statistics`), each at
+    most once, so callers may pass lazy iterables or nothing for the rest.
     """
     kind = spec.kind
     if kind == "mtgc" or spec.h == "total":
-        return lambda totals, spreads, farthest: (list(totals),)
+        return lambda totals, averages, spreads, farthest: (list(totals),)
     if spec.h == "max":
-        return lambda totals, spreads, farthest: (list(farthest),)
+        return lambda totals, averages, spreads, farthest: (list(farthest),)
     if kind == "iif1":
-        return lambda totals, spreads, farthest: (list(map(per_size, totals, sizes)), list(spreads))
+        return lambda totals, averages, spreads, farthest: (list(averages), list(spreads))
     if kind == "iif2":
-        return lambda totals, spreads, farthest: (list(map(plus, map(per_size, totals, sizes), spreads)),)
-    return lambda totals, spreads, farthest: (list(map(per_size, totals, sizes)),)
+        return lambda totals, averages, spreads, farthest: (list(map(plus, averages, spreads)),)
+    return lambda totals, averages, spreads, farthest: (list(averages),)
 
 
 def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tuple[list[float], ...]:
@@ -189,8 +185,12 @@ def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tupl
     """
     groups = profile.group_locations
     at = repeat(y)
-    build = _assembler(spec, profile.group_sizes, truediv, add)
-    return build(map(_total, groups, at), map(_spread, groups, at), map(_farthest, groups, at))
+    return _assembler(spec, add)(
+        map(_total, groups, at),
+        map(truediv, map(_total, groups, at), profile.group_sizes),
+        map(_spread, groups, at),
+        map(_farthest, groups, at),
+    )
 
 
 def _sweep_group(
@@ -240,69 +240,64 @@ def _sweep_group(
     return totals, spread_col
 
 
-def _scaled(column: list[float], size: int) -> list[float]:
-    return [t / size for t in column]
-
-
 def _added(a: list[float], b: list[float]) -> list[float]:
     return list(map(add, a, b))
 
 
-GroupStats = tuple[list[list[float]], list[list[float]], list[list[float]]]
+GroupStats = tuple[list[list[float]], list[list[float]], list[list[float]], list[list[float]]]
 
 
 def stats_along(profile: GroupedProfile, ys: Sequence[float], specs: Iterable[ObjectiveSpec]) -> GroupStats:
     """Every per-group statistic any objective in `specs` reads, at each of the ascending points `ys`.
 
-    Returns (totals, spreads, farthest), each holding one column per group
-    with the group's value at every point of `ys`, or an empty list when no
-    objective in `specs` reads that statistic. One `_sweep_group` pass per
-    group gives the totals, and the spreads with them when any objective is
-    iif1 or iif2; farthest-member distances (alt h="max") are taken point by
-    point. What one objective reads does not depend on what the others
-    read, so `assemble_along` of the result is bit-identical whichever other
-    objectives share it.
+    Returns (totals, averages, spreads, farthest), each holding one column
+    per group with the group's value at every point of `ys`, or an empty
+    list when no objective in `specs` reads that statistic. One
+    `_sweep_group` pass per group gives the totals, and the spreads with
+    them when any objective is iif1 or iif2; averages divide the totals by
+    the group sizes once, whichever objectives read them, and
+    farthest-member distances (alt h="max") are taken point by point. One
+    pass costs O(n + len(ys)·m) in all instead of O(n) per point. Spreads
+    and farthest-member distances are bit-identical to `constituents`';
+    totals and averages agree to rounding (they come from running offset
+    sums, not from a direct sum at each point) and are exactly 0.0 for a
+    group whose members all sit at the point. What one objective reads does
+    not depend on what the others read, so `assemble_along` of the result is
+    bit-identical whichever other objectives share it.
     """
     need = 0
     for spec in specs:
         need |= spec._statistics
     groups = profile.group_locations
     totals: list[list[float]] = []
+    averages: list[list[float]] = []
     spreads: list[list[float]] = []
     farthest: list[list[float]] = []
     if need & _FARTHEST:
         farthest = [[_farthest(locs, y) for y in ys] for locs in groups]
-    if need & _TOTALS:
+    if need & (_TOTALS | _AVERAGES | _SPREADS):
         x1, xn = profile.span
         reach = max(xn, ys[-1]) - min(x1, ys[0]) if ys else 0.0
         swept = [_sweep_group(locs, ys, reach, need & _SPREADS != 0) for locs in groups]
-        totals = [col for col, _ in swept]
-        spreads = [col for _, col in swept]
-    return totals, spreads, farthest
+        if need & _TOTALS:
+            totals = [col for col, _ in swept]
+        if need & _AVERAGES:
+            averages = [[t / size for t in col] for (col, _), size in zip(swept, profile.group_sizes)]
+        if need & _SPREADS:
+            spreads = [col for _, col in swept]
+    return totals, averages, spreads, farthest
 
 
-def assemble_along(profile: GroupedProfile, spec: ObjectiveSpec, stats: GroupStats) -> tuple[list[list[float]], ...]:
-    """The families `spec` combines, one column per group, from `stats_along`'s result.
-
-    `stats` must hold every statistic `spec` reads. The result shares its
-    columns with `stats` and with other objectives' families, so callers
-    must not modify it.
-    """
-    return _assembler(spec, profile.group_sizes, _scaled, _added)(*stats)
-
-
-def columns_along(profile: GroupedProfile, spec: ObjectiveSpec, ys: Sequence[float]) -> tuple[list[list[float]], ...]:
-    """`constituents` at each of the ascending points `ys`, as one column per group.
+def assemble_along(spec: ObjectiveSpec, stats: GroupStats) -> tuple[list[list[float]], ...]:
+    """`constituents` at each point of `stats_along`'s result, as one column per group.
 
     Returns the families `constituents` returns, but each family holds, per
-    group, the column of that group's values at every point of `ys`. One
-    pass per group costs O(n + len(ys)·m) in all instead of O(n) per point.
-    Spreads and farthest-member distances are bit-identical to
-    `constituents`'; totals and averages agree to rounding (they come from
-    running offset sums, not from a direct sum at each point) and are
-    exactly 0.0 for a group whose members all sit at the point.
+    group, the column of that group's values at every point. `stats` must
+    hold every statistic `spec` reads. The result shares its columns with
+    `stats` and with other objectives' families, so callers must not modify
+    it.
     """
-    return assemble_along(profile, spec, stats_along(profile, ys, (spec,)))
+    return _assembler(spec, _added)(*stats)
 
 
 def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:
@@ -326,7 +321,7 @@ def _across(pick: Callable[..., float], columns: list[list[float]]) -> Iterable[
 
 
 def combine_along(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...]) -> list[float]:
-    """`combine` at every point of the families `columns_along` returns, bit for bit."""
+    """`combine` at every point of the families `assemble_along` returns, bit for bit."""
     hi = _across(max, columns[0])
     rule = spec._combiner
     if rule is None:

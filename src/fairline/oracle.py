@@ -9,10 +9,16 @@ from maxima of constituents can only attain its minimum at a grid point or at
 a crossing of two constituent lines inside an interval. Enumerating those
 candidates gives an exact global optimum.
 
-`optimize` evaluates every kink first, in one left-to-right sweep per group:
-`objectives.columns_along` walks each group's sorted members with one
-pointer, so every kink costs O(m) instead of an O(n) sum per group. The pass
-stays column-major: each family holds one column per group, with the group's
+`optima(profile, specs)` computes the optima of one or more objectives on
+one profile, and `optimize(profile, spec)` is `optima` asked for one
+objective. Each optimum evaluates every kink first, in one left-to-right
+sweep per group: `objectives.stats_along` walks each group's sorted members
+with one pointer, so every kink costs O(m) instead of an O(n) sum per group.
+mtgc and magc search the same kinks (the agent locations), and so do all the
+other objectives (`breakpoints`), so the objectives asked for together share
+one sweep per kink grid, which takes every statistic they read and no other.
+The pass stays column-major: `objectives.assemble_along` builds each
+objective's families from the sweep, one column per group with the group's
 value at every kink; `objectives.combine_along` folds the columns over the
 groups into the kink values, and `_interval_floors` reads the same columns.
 Only an interval that is searched has its two kinks' values gathered into
@@ -32,18 +38,9 @@ it combines them (`ObjectiveSpec._combiner`: iif1's sum, alt's gap, alt's
 ratio with its 0/0 convention) are written once and serve both `eval_point`
 at one point and the column pass at every kink, so the rule's side and the
 optimum's side of every ratio share one copy of each formula, and the value
-`optimize` reports is `eval_point` at the minimizer. The tests check it
+an optimum reports is `eval_point` at the minimizer. The tests check it
 against an independent numpy grid search (`tests/grid_oracle.py`), which
 deliberately shares none of it.
-
-`optima(profile, specs)` serves a caller that wants several objectives'
-optima on one profile, as `fairline sweep` does. mtgc and magc search the
-same kinks (the agent locations), and so do all the other objectives
-(`breakpoints`), so it sweeps each group once per kink grid, for every
-statistic its objectives read (`objectives.stats_along`), and then runs
-`optimize`'s own selection (`_select`) once per objective. Grids and optima
-are computed on first request. `optimize` stays the one-objective call and
-builds nothing it does not use.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -66,7 +63,6 @@ from .objectives import (
     GroupStats,
     ObjectiveSpec,
     assemble_along,
-    columns_along,
     combine,
     combine_along,
     eval_outcome,
@@ -176,7 +172,7 @@ def _crossing_candidates(
 def _interval_floors(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...], slack: float) -> list[float]:
     """Per interval between consecutive kinks, a lower bound of the objective at its crossings.
 
-    `columns` holds the constituent families at the kinks as `columns_along`
+    `columns` holds the constituent families at the kinks as `assemble_along`
     returns them, one column per group. Between two kinks every constituent
     is a line, so inside the interval it lies between its two endpoint
     values, widened by `slack` for rounding. Each family's maximum is then
@@ -226,47 +222,42 @@ def _tie_tol(value: float) -> float:
     The tolerance tracks rounding noise only, so every listed minimizer
     re-evaluates to the optimum far inside the package-wide 1e-9 tolerance.
     `value + _tie_tol(value)` grows with `value`, which is what lets
-    `optimize` prune intervals against its best kink before it knows the
+    `_select` prune intervals against its best kink before it knows the
     optimum.
     """
     return 1e-12 * max(1.0, abs(value))
 
 
 def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
-    """Exact global minimum of the objective over facility locations.
-
-    Evaluates every kink in one left-to-right sweep per group
-    (`columns_along`, kept as per-group columns through `combine_along` and
-    `_interval_floors`), then the crossings inside the intervals that can
-    hold the optimum: the two around the best kink for the convex mtgc and
-    magc, and otherwise every interval whose floor reaches the best kink
-    value's tie window (see the module docstring). O(n·m^2) at worst for n
-    agents in m groups. Returns the leftmost minimizer, with its value
-    re-evaluated by `eval_point`; `minimizers` lists every evaluated
-    candidate tied with the optimum up to rounding noise (`_tie_tol`).
-    Raises UnboundedObjectiveError when every candidate is +inf, and
-    ObjectiveOverflowError when the least candidate value is NaN or when
-    the value at the minimizer is not finite while 2·n·span overflows; only
-    coordinates near the float maximum bring either about.
-    """
-    x1, xn = profile.span
-    if xn - x1 <= 0.0:
-        return _at_one_point(profile, spec, x1)
-    pts = _kinks(profile, spec)
-    return _select(profile, spec, pts, columns_along(profile, spec, pts))
+    """Exact global minimum of the objective over facility locations: `optima` asked for `spec` alone."""
+    return optima(profile, (spec,))(spec)
 
 
 def optima(profile: GroupedProfile, specs: Iterable[ObjectiveSpec]) -> Callable[[ObjectiveSpec], OptimalResult]:
-    """The optima of every objective in `specs` on one profile: spec -> `optimize(profile, spec)`.
+    """The exact optima of every objective in `specs` on one profile, as a function of the objective.
 
     Objectives that search the same kinks share one group sweep: mtgc and
     magc the merged agent locations, every other objective `breakpoints`.
     The returned function takes that sweep (`stats_along`, for every
     statistic the objectives of `specs` on those kinks read) on the first
     call that needs it, and each optimum on its first call; later calls
-    return the same result. A spec whose optimum raises raises on each call.
-    Every result is bit-identical to `optimize`'s, which runs the same
-    selection. Raises KeyError for a spec not in `specs`.
+    return the same result, and a spec whose optimum raises raises on each
+    call. What one optimum reads of the sweep does not depend on the other
+    objectives, so each result is bit-identical whichever specs share it.
+
+    Each optimum evaluates every kink (kept as per-group columns through
+    `combine_along` and `_interval_floors`), then the crossings inside the
+    intervals that can hold the optimum: the two around the best kink for
+    the convex mtgc and magc, and otherwise every interval whose floor
+    reaches the best kink value's tie window (see the module docstring).
+    O(n·m^2) at worst for n agents in m groups. It is the leftmost
+    minimizer, with its value re-evaluated by `eval_point`; `minimizers`
+    lists every evaluated candidate tied with the optimum up to rounding
+    noise (`_tie_tol`). Raises UnboundedObjectiveError when every candidate
+    is +inf, and ObjectiveOverflowError when the least candidate value is
+    NaN or when the value at the minimizer is not finite while 2·n·span
+    overflows; only coordinates near the float maximum bring either about.
+    Raises KeyError for a spec not in `specs`.
     """
     wanted = tuple(specs)
     x1, xn = profile.span
@@ -279,7 +270,11 @@ def optima(profile: GroupedProfile, specs: Iterable[ObjectiveSpec]) -> Callable[
         if spec not in wanted:
             raise KeyError(f"{spec.label} is not among the objectives these optima were set up for")
         if xn - x1 <= 0.0:
-            result = _at_one_point(profile, spec, x1)
+            # Every agent sits at x1.
+            value = eval_point(profile, spec, x1)
+            if math.isinf(value):
+                raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
+            result = OptimalResult(x1, value, (x1,))
         else:
             convex = spec.kind in _CONVEX
             if convex not in sweeps:
@@ -287,19 +282,11 @@ def optima(profile: GroupedProfile, specs: Iterable[ObjectiveSpec]) -> Callable[
                 sharing = [s for s in wanted if (s.kind in _CONVEX) == convex]
                 sweeps[convex] = pts, stats_along(profile, pts, sharing)
             pts, stats = sweeps[convex]
-            result = _select(profile, spec, pts, assemble_along(profile, spec, stats))
+            result = _select(profile, spec, pts, assemble_along(spec, stats))
         found[spec] = result
         return result
 
     return optimum
-
-
-def _at_one_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> OptimalResult:
-    """The optimum of a profile whose agents all sit at `y`."""
-    value = eval_point(profile, spec, y)
-    if math.isinf(value):
-        raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
-    return OptimalResult(y, value, (y,))
 
 
 def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
@@ -313,7 +300,7 @@ def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
 def _select(
     profile: GroupedProfile, spec: ObjectiveSpec, pts: Sequence[float], columns: tuple[list[list[float]], ...]
 ) -> OptimalResult:
-    """`optimize`'s search and selection, given the families at every kink `pts` as columns."""
+    """One optimum's search and selection, given the families at every kink `pts` as columns."""
     values = combine_along(spec, columns)
     candidates: list[tuple[float, float]]
     if spec.kind in _CONVEX:

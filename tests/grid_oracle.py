@@ -2,9 +2,10 @@
 
 `grid_optimize` evaluates every objective with numpy at each point of a
 uniform grid on the agent span and keeps the least value. It shares none of
-the package's objective code (`objectives.columns_along`, `combine_along`,
-the interval floors), so an exact optimum it undercuts by more than the grid
-spacing allows is a fault of `optimize`, not a copy of the same one.
+the package's objective code (`objectives.stats_along`, `assemble_along`,
+`combine_along`, the interval floors), so an exact optimum it undercuts by
+more than the grid spacing allows is a fault of `optimize`, not a copy of
+the same one.
 """
 
 from __future__ import annotations

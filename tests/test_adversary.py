@@ -136,7 +136,7 @@ class TestPerturb:
         rng, replay = random.Random(3), random.Random(3)
         skipped = 0
         for _ in range(200):
-            candidate = _perturb(profile, rng, 0.1)
+            candidate = _perturb(profile, rng, 0.1, {})
             i = replay.randrange(profile.n)
             own = profile.locations[i]
             moved = min(1.0, max(0.0, own + replay.uniform(-0.1, 0.1)))
@@ -144,11 +144,11 @@ class TestPerturb:
                 assert candidate is None
                 skipped += 1
             else:
-                assert candidate == profile.with_location(i, moved)
+                assert candidate == profile.deviations((i,))(moved)
         assert 0 < skipped < 200
         assert rng.random() == replay.random()
 
-    def test_cached_paths_build_what_with_location_builds(self):
+    def test_cached_paths_build_what_fresh_paths_build(self):
         # One group, so every move is a jitter; the cache is shared by every call.
         profile = build_profile([(0.3, 1), (0.6, 1), (0.6, 1), (0.0, 1), (1.0, 1)], 1)
         rng, replay, plain = random.Random(5), random.Random(5), random.Random(5)
@@ -158,11 +158,11 @@ class TestPerturb:
             i = replay.randrange(profile.n)
             own = profile.locations[i]
             moved = min(1.0, max(0.0, own + replay.uniform(-0.15, 0.15)))
-            assert candidate == _perturb(profile, plain, 0.15)
+            assert candidate == _perturb(profile, plain, 0.15, {})
             if moved == own:
                 assert candidate is None
             else:
-                assert candidate == profile.with_location(i, moved)
+                assert candidate == profile.deviations((i,))(moved)
         assert sorted(paths) == list(range(profile.n))
         assert rng.random() == replay.random() == plain.random()
 
@@ -196,8 +196,8 @@ def test_conformance_reports_are_pinned():
 
 
 def reference_climb(mechanism, spec, config, seed_profiles=()):
-    """`hill_climb` without its shortcuts: every candidate is built with
-    `with_location`/`with_group` and scored.
+    """`hill_climb` without its shortcuts: every candidate is built with a
+    fresh deviation path or `with_group` and scored.
 
     Returns the report and, per restart, the profiles scored in order.
     """
@@ -228,7 +228,7 @@ def reference_climb(mechanism, spec, config, seed_profiles=()):
                 moved = min(1.0, max(0.0, own + rng.uniform(-config.perturbation_scale, config.perturbation_scale)))
                 if moved == own:
                     continue
-                candidate = current.with_location(i, moved)
+                candidate = current.deviations((i,))(moved)
             scored.append(candidate)
             candidate_ratio = ratio(candidate, mechanism, spec).ratio
             if candidate_ratio > current_ratio:

@@ -100,7 +100,7 @@ class TestSpAudit:
             i = f.deviators[0]
             profile = singleton_pair()
             truthful = agent_cost(mean_mechanism(profile), f.true_location)
-            deviated = profile.with_location(i, f.misreport)
+            deviated = profile.deviations((i,))(f.misreport)
             deviating = agent_cost(mean_mechanism(deviated), f.true_location)
             assert truthful == pytest.approx(f.truthful_cost, abs=1e-12)
             assert deviating == pytest.approx(f.deviating_cost, abs=1e-12)

@@ -1,11 +1,10 @@
 """The spliced deviation path against a full rebuild.
 
 `GroupedProfile.deviations` takes a deviator set out of an already sorted
-profile once and splices each report back in; `with_reports` is one call of
-such a path. `rebuild_audit_sets` is a test-only reference: the audit loop run
-one mechanism at a time on its own candidate set, rebuilding every deviated
-profile with `build_profile`. Both must give equal profiles and exactly equal
-findings.
+profile once and splices each report back in. `rebuild_audit_sets` is a
+test-only reference: the audit loop run one mechanism at a time on its own
+candidate set, rebuilding every deviated profile with `build_profile`. Both
+must give equal profiles and exactly equal findings.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def test_splice_matches_rebuild():
         profile = build_profile(pairs, m)
         i = rng.randrange(-profile.n, profile.n)
         report = _report(rng, profile)
-        _assert_same(profile.with_location(i, report), _rebuilt(profile, (i,), report), (k, pairs, i, report))
+        _assert_same(profile.deviations((i,))(report), _rebuilt(profile, (i,), report), (k, pairs, i, report))
         # A colocated set, or any subset of agents, moving together.
         if rng.random() < 0.5:
             sets = audit._colocated_sets(profile)
@@ -74,7 +73,7 @@ def test_splice_matches_rebuild():
             indices = tuple(rng.sample(range(profile.n), rng.randint(1, profile.n)))
         report = _report(rng, profile)
         context = (k, pairs, indices, report)
-        _assert_same(profile.with_reports(indices, report), _rebuilt(profile, indices, report), context)
+        _assert_same(profile.deviations(indices)(report), _rebuilt(profile, indices, report), context)
 
 
 def test_splice_of_a_splice_matches_rebuild():
@@ -85,7 +84,7 @@ def test_splice_of_a_splice_matches_rebuild():
         for _ in range(5):
             i = rng.randrange(profile.n)
             report = _report(rng, profile)
-            profile = profile.with_location(i, report)
+            profile = profile.deviations((i,))(report)
             want = _rebuilt(want, (i,), report)
             _assert_same(profile, want, (pairs, i, report))
 
@@ -94,17 +93,15 @@ def test_splice_of_a_splice_matches_rebuild():
 def test_nonfinite_report_rejected(report):
     profile = build_profile([(0, 1), (1, 2), (1, 2)], 2)
     with pytest.raises(InvalidLocationError):
-        profile.with_location(0, report)
+        profile.deviations((0,))(report)
     with pytest.raises(InvalidLocationError):
-        profile.with_reports((1, 2), report)
+        profile.deviations((1, 2))(report)
 
 
 @pytest.mark.parametrize("report", [math.nan, math.inf, -math.inf])
 def test_nonfinite_report_rejected_with_no_deviator(report):
     # The path checks the report itself, even when no deviator takes it.
     profile = build_profile([(0, 1), (1, 1)], 1)
-    with pytest.raises(InvalidLocationError):
-        profile.with_reports((), report)
     with pytest.raises(InvalidLocationError):
         profile.deviations(())(report)
 
@@ -127,7 +124,7 @@ def test_profiles_hold_one_zero():
         assert parse_instance(text) == profile and _zero_signs(parse_instance(text)) == {1.0}
     profile = build_profile([(-1, 1), (0.5, 2), (2, 1)], 2)
     for i in range(profile.n):
-        assert _zero_signs(profile.with_location(i, -0.0)) == {1.0}
+        assert _zero_signs(profile.deviations((i,))(-0.0)) == {1.0}
     for deviators in [(), *_deviator_sets(built)]:
         assert _zero_signs(built.deviations(deviators)(-0.0)) == {1.0}
 

@@ -22,7 +22,7 @@ import pytest
 from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, build_profile, optima, optimize
 from fairline import oracle
 from fairline.model import _merge_close
-from fairline.objectives import columns_along, combine, eval_point
+from fairline.objectives import combine, eval_point
 from fairline.oracle import (
     ObjectiveOverflowError,
     OptimalResult,
@@ -33,7 +33,7 @@ from fairline.oracle import (
     breakpoints,
 )
 from test_kink_grid import _random_profile
-from test_swept_oracle import NEAR_FLOAT_MAX, _profiles, rows
+from test_swept_oracle import NEAR_FLOAT_MAX, _profiles, columns_of, rows
 
 SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
 NON_CONVEX = (IIF1, IIF2) + ALT_OBJECTIVES
@@ -50,7 +50,7 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
         return OptimalResult(x1, value, (x1,))
     if spec.kind in ("mtgc", "magc"):
         pts = _merge_close(sorted(set(profile.locations)))
-        fams = rows(columns_along(profile, spec, pts))
+        fams = rows(columns_of(profile, spec, pts))
         values = [combine(spec, f) for f in fams]
         i0 = values.index(min(values))
         candidates = list(zip(pts, values))
@@ -59,7 +59,7 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
                 candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
     else:
         pts = breakpoints(profile)
-        fams = rows(columns_along(profile, spec, pts))
+        fams = rows(columns_of(profile, spec, pts))
         candidates = [(pts[0], combine(spec, fams[0]))]
         for k in range(len(pts) - 1):
             candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
@@ -202,7 +202,7 @@ def test_floor_bounds_every_crossing():
         profile = _random_profile(rng)
         pts = breakpoints(profile)
         for spec in NON_CONVEX:
-            columns = columns_along(profile, spec, pts)
+            columns = columns_of(profile, spec, pts)
             fams = rows(columns)
             for k, floor in enumerate(_interval_floors(spec, columns, 0.0)):
                 for y, v in _crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]):
@@ -217,7 +217,7 @@ def test_interior_crossing_optimum_on_a_tight_floor_is_kept():
     profile = build_profile([(0.0, 1), (5.0, 1), (5.0, 2), (12.0, 2)], 2)
     pts = breakpoints(profile)
     assert pts == (0.0, 2.5, 5.0, 8.5, 12.0)
-    columns = columns_along(profile, IIF1, pts)
+    columns = columns_of(profile, IIF1, pts)
     assert _interval_floors(IIF1, columns, 0.0)[2] == 8.5
     fams = rows(columns)
     assert min(combine(IIF1, f) for f in fams) == 10.5

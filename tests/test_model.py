@@ -86,9 +86,9 @@ class TestBuildProfile:
         assert p.group_locations[0] == (0.0, TWO_THIRDS)
         assert p.group_medians == (0.0, 1.0)
 
-    def test_with_location_resorts(self):
+    def test_deviation_resorts(self):
         p = build_profile([(0, 1), (1, 2)], 2)
-        q = p.with_location(0, 5.0)
+        q = p.deviations((0,))(5.0)
         assert q.locations == (1.0, 5.0)
         assert tuple(g for _, g in q.raw()) == (2, 1)
 
@@ -102,7 +102,7 @@ class TestBuildProfile:
     def test_oversized_report_rejected(self):
         p = build_profile([(0, 1), (1, 2)], 2)
         with pytest.raises(InvalidLocationError):
-            p.with_location(0, 10**400)
+            p.deviations((0,))(10**400)
 
 
 class TestRelabel:

@@ -1,7 +1,8 @@
 """The one-pass swept evaluator behind `optimize` against the direct sums.
 
-`columns_along` gives `constituents` at every point of an ascending list,
-as one column per group, in one left-to-right pass per group. Spreads and
+`assemble_along` of `stats_along` gives `constituents` at every point of an
+ascending list, as one column per group, in one left-to-right pass per
+group. Spreads and
 farthest-member distances must match the direct evaluator bit for bit;
 totals and averages come from running sums, so they match to rounding,
 except that a group whose members all sit at the point reads exactly 0.0.
@@ -18,14 +19,15 @@ import pytest
 
 from conftest import random_pairs
 from fairline import ALT_OBJECTIVES, IIF1, MAIN_OBJECTIVES, MTGC, build_profile, optimize, parse_objective
-from fairline import objectives
+from fairline import objectives, oracle
 from fairline.objectives import (
     _spread,
     _sweep_group,
-    columns_along,
+    assemble_along,
     combine,
     combine_along,
     constituents,
+    stats_along,
 )
 from fairline.oracle import UnboundedObjectiveError, breakpoints
 from test_kink_grid import NON_CONVEX, PROFILES, _random_profile, all_pairs_optimum
@@ -35,8 +37,13 @@ SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
 EXACT_FAMILIES = {"iif1": (1,), "alt-a-max": (0,), "alt-b-max": (0,)}
 
 
+def columns_of(profile, spec, ys):
+    """The families `spec` combines at each of the ascending points `ys`, one column per group."""
+    return assemble_along(spec, stats_along(profile, ys, (spec,)))
+
+
 def rows(columns):
-    """`columns_along`'s columns as the families at each point, one value per group."""
+    """`columns_of`'s columns as the families at each point, one value per group."""
     return [tuple([column[k] for column in family] for family in columns) for k in range(len(columns[0][0]))]
 
 
@@ -60,7 +67,7 @@ def test_swept_constituents_match_direct_ones():
         x1, xn = profile.span
         tol = 1e-12 * profile.n * max(abs(x1), abs(xn))
         for spec in SPECS:
-            swept = rows(columns_along(profile, spec, ys))
+            swept = rows(columns_of(profile, spec, ys))
             assert len(swept) == len(ys)
             for y, got in zip(ys, swept):
                 want = constituents(profile, spec, y)
@@ -80,7 +87,7 @@ def test_group_wholly_at_the_point_reads_exact_zero():
         profile = build_profile(*random_pairs(rng, max_n=9, digits=(0, 1)))
         ys = breakpoints(profile)
         for spec in (MTGC, parse_objective("magc"), IIF1, parse_objective("alt-a-average")):
-            for y, fams in zip(ys, rows(columns_along(profile, spec, ys))):
+            for y, fams in zip(ys, rows(columns_of(profile, spec, ys))):
                 for locs, value in zip(profile.group_locations, fams[0]):
                     if locs[0] == locs[-1] == y:
                         assert value == 0.0, (profile.raw(), spec.label, y, value)
@@ -88,7 +95,7 @@ def test_group_wholly_at_the_point_reads_exact_zero():
     assert checked > 100
     # Eight members at 0.1: their raw sum 0.7999999999999999 is not 8 * 0.1.
     profile = build_profile([(0.1, 1)] * 8 + [(0.7, 2), (-1.3, 2)], 2)
-    (fams,) = rows(columns_along(profile, MTGC, [0.1]))
+    (fams,) = rows(columns_of(profile, MTGC, [0.1]))
     assert fams[0][0] == 0.0
 
 
@@ -96,8 +103,8 @@ def test_swept_points_may_lie_outside_the_members():
     profile = build_profile([(0.0, 1), (1.0, 1), (5.0, 2)], 2)
     ys = [-2.0, 0.0, 0.5, 3.0, 7.5]
     for spec in SPECS:
-        assert rows(columns_along(profile, spec, ys)) == [constituents(profile, spec, y) for y in ys]
-    assert columns_along(profile, MTGC, []) == ([[], []],)
+        assert rows(columns_of(profile, spec, ys)) == [constituents(profile, spec, y) for y in ys]
+    assert columns_of(profile, MTGC, []) == ([[], []],)
 
 
 def test_combined_columns_match_combine_at_every_point():
@@ -105,7 +112,7 @@ def test_combined_columns_match_combine_at_every_point():
     for k, profile in enumerate(_profiles()):
         ys = breakpoints(profile)
         for spec in SPECS:
-            columns = columns_along(profile, spec, ys)
+            columns = columns_of(profile, spec, ys)
             want = [combine(spec, fams) for fams in rows(columns)]
             assert _bits(combine_along(spec, columns)) == _bits(want), (k, spec.label)
         checked_single_group += profile.group_count == 1
@@ -238,6 +245,37 @@ def test_optimize_sums_directly_only_for_its_reported_value(monkeypatch):
         # One direct sum per group, for the final eval_point; the O(n) kinks
         # were all swept.
         assert calls <= 2 * m, (spec.label, calls)
+
+
+def test_one_objective_sweeps_only_what_it_reads(monkeypatch):
+    # `fairline search` makes thousands of one-objective calls, so each must
+    # sweep for its own statistics alone: spreads only for iif1 and iif2, and
+    # no group sweep at all for alt h="max", which reads only the
+    # farthest-member distances.
+    profile = build_profile([(0.0, 1), (0.4, 1), (0.9, 1), (0.2, 2), (1.0, 2), (0.7, 3)], 3)
+    stats_calls, spreads_asked = [], []
+    sweep_group, stats_along = objectives._sweep_group, oracle.stats_along
+
+    def counted_sweep(locs, ys, reach, spreads):
+        spreads_asked.append(spreads)
+        return sweep_group(locs, ys, reach, spreads)
+
+    def counted_stats(profile, ys, specs):
+        stats_calls.append(tuple(specs))
+        return stats_along(profile, ys, specs)
+
+    monkeypatch.setattr(objectives, "_sweep_group", counted_sweep)
+    # `oracle` calls `stats_along` by the name it imported.
+    monkeypatch.setattr(oracle, "stats_along", counted_stats)
+    for spec in SPECS:
+        stats_calls.clear()
+        spreads_asked.clear()
+        optimize(profile, spec)
+        assert stats_calls == [(spec,)], spec.label
+        if spec.h == "max":
+            assert spreads_asked == [], spec.label
+        else:
+            assert spreads_asked == [spec.kind in ("iif1", "iif2")] * profile.group_count, spec.label
 
 
 # sha256 of `_optimize_outcomes()`, taken before the kink pass went

@@ -49,7 +49,7 @@ def _costs(rules, profile, deviators, reports):
     own = profile.locations[deviators[0]]
     costs = [[] for _ in rules]
     for r in reports:
-        deviated = profile.with_reports(deviators, r)
+        deviated = profile.deviations(deviators)(r)
         for k, rule in enumerate(rules):
             costs[k].append(agent_cost(rule.apply(deviated), own))
     return costs
