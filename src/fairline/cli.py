@@ -243,15 +243,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
         name = doc.name or path.stem
-        optimum = optima(doc.profile, objectives)
+        results = None
         for mechanism in mechanisms:
             try:
                 outcome = as_mechanism_fn(mechanism)(doc.profile)
             except (IndexError, ValueError) as exc:
                 print(f"warning: skipping {mechanism_label(mechanism)} on {path}: {exc}", file=sys.stderr)
                 continue
-            for spec in objectives:
-                report = ratio_to(doc.profile, outcome, spec, optimum(spec))
+            if results is None:
+                # Once, before the instance's first row: an optimum that raises prints
+                # none of them, and an instance no rule applies to takes none.
+                results = optima(doc.profile, objectives)
+            for spec, optimal in zip(objectives, results):
+                report = ratio_to(doc.profile, outcome, spec, optimal)
                 writer.writerow(
                     [
                         name,

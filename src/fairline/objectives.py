@@ -28,9 +28,9 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
-from operator import add, sub, truediv
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import add, or_, sub, truediv
 from typing import Any
 
 from .model import FacilityOutcome, GroupedProfile
@@ -85,13 +85,10 @@ class ObjectiveSpec:
     @cached_property
     def _statistics(self) -> int:
         """The per-group statistics `_assembler` reads for this objective, as `_TOTALS`-style flags."""
-        if self.h == "max":
-            return _FARTHEST
-        if self.kind in ("iif1", "iif2"):
-            return _AVERAGES | _SPREADS
-        if self.kind == "mtgc" or self.h == "total":
-            return _TOTALS
-        return _AVERAGES
+        # `_assembler` of one group whose statistics are their own flags,
+        # combined with `or_`, gives the flags of what it reads.
+        flags = _assembler(self, or_)([_TOTALS], [_AVERAGES], [_SPREADS], [_FARTHEST])
+        return reduce(or_, chain.from_iterable(flags))
 
     @property
     def label(self) -> str:

@@ -9,13 +9,14 @@ from maxima of constituents can only attain its minimum at a grid point or at
 a crossing of two constituent lines inside an interval. Enumerating those
 candidates gives an exact global optimum.
 
-`optima(profile, specs)` computes the optima of one or more objectives on
-one profile, and `optimize(profile, spec)` is `optima` asked for one
-objective. Each optimum evaluates every kink first, in one left-to-right
-sweep per group: `objectives.stats_along` walks each group's sorted members
-with one pointer, so every kink costs O(m) instead of an O(n) sum per group.
+`optima(profile, specs)` returns the optima of one or more objectives on
+one profile, one per objective in order, and `optimize(profile, spec)` is
+`optima` of one objective. Each optimum evaluates every kink first, in one
+left-to-right sweep per group: `objectives.stats_along` walks each group's
+sorted members with one pointer, so every kink costs O(m) instead of an
+O(n) sum per group.
 mtgc and magc search the same kinks (the agent locations), and so do all the
-other objectives (`breakpoints`), so the objectives asked for together share
+other objectives (`breakpoints`), so the objectives given together share
 one sweep per kink grid, which takes every statistic they read and no other.
 The pass stays column-major: `objectives.assemble_along` builds each
 objective's families from the sweep, one column per group with the group's
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -229,21 +230,19 @@ def _tie_tol(value: float) -> float:
 
 
 def optimize(profile: GroupedProfile, spec: ObjectiveSpec) -> OptimalResult:
-    """Exact global minimum of the objective over facility locations: `optima` asked for `spec` alone."""
-    return optima(profile, (spec,))(spec)
+    """Exact global minimum of the objective over facility locations: `optima` of `spec` alone."""
+    return optima(profile, (spec,))[0]
 
 
-def optima(profile: GroupedProfile, specs: Iterable[ObjectiveSpec]) -> Callable[[ObjectiveSpec], OptimalResult]:
-    """The exact optima of every objective in `specs` on one profile, as a function of the objective.
+def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[OptimalResult, ...]:
+    """The exact optimum of each objective in `specs` on one profile, in `specs` order.
 
     Objectives that search the same kinks share one group sweep: mtgc and
     magc the merged agent locations, every other objective `breakpoints`.
-    The returned function takes that sweep (`stats_along`, for every
-    statistic the objectives of `specs` on those kinks read) on the first
-    call that needs it, and each optimum on its first call; later calls
-    return the same result, and a spec whose optimum raises raises on each
-    call. What one optimum reads of the sweep does not depend on the other
-    objectives, so each result is bit-identical whichever specs share it.
+    That sweep (`stats_along`) takes every statistic the objectives of
+    `specs` on those kinks read. What one optimum reads of it does not
+    depend on the other objectives, so each result is bit-identical whichever
+    specs share it.
 
     Each optimum evaluates every kink (kept as per-group columns through
     `combine_along` and `_interval_floors`), then the crossings inside the
@@ -253,47 +252,39 @@ def optima(profile: GroupedProfile, specs: Iterable[ObjectiveSpec]) -> Callable[
     O(n·m^2) at worst for n agents in m groups. It is the leftmost
     minimizer, with its value re-evaluated by `eval_point`; `minimizers`
     lists every evaluated candidate tied with the optimum up to rounding
-    noise (`_tie_tol`). Raises UnboundedObjectiveError when every candidate
-    is +inf, and ObjectiveOverflowError when the least candidate value is
-    NaN or when the value at the minimizer is not finite while 2·n·span
-    overflows; only coordinates near the float maximum bring either about.
-    Raises KeyError for a spec not in `specs`.
+    noise (`_tie_tol`). Raises the first error any objective raises:
+    UnboundedObjectiveError when every candidate is +inf, and
+    ObjectiveOverflowError when the least candidate value is NaN or when the
+    value at the minimizer is not finite while 2·n·span overflows; only
+    coordinates near the float maximum bring either about.
     """
-    wanted = tuple(specs)
     x1, xn = profile.span
     sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
-    found: dict[ObjectiveSpec, OptimalResult] = {}
-
-    def optimum(spec: ObjectiveSpec) -> OptimalResult:
-        if spec in found:
-            return found[spec]
-        if spec not in wanted:
-            raise KeyError(f"{spec.label} is not among the objectives these optima were set up for")
+    results = []
+    for spec in specs:
         if xn - x1 <= 0.0:
             # Every agent sits at x1.
             value = eval_point(profile, spec, x1)
             if math.isinf(value):
                 raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
-            result = OptimalResult(x1, value, (x1,))
-        else:
-            convex = spec.kind in _CONVEX
-            if convex not in sweeps:
-                pts = _kinks(profile, spec)
-                sharing = [s for s in wanted if (s.kind in _CONVEX) == convex]
-                sweeps[convex] = pts, stats_along(profile, pts, sharing)
-            pts, stats = sweeps[convex]
-            result = _select(profile, spec, pts, assemble_along(spec, stats))
-        found[spec] = result
-        return result
-
-    return optimum
+            results.append(OptimalResult(x1, value, (x1,)))
+            continue
+        convex = spec.kind in _CONVEX
+        if convex not in sweeps:
+            pts = _kinks(profile, spec)
+            sharing = [s for s in specs if (s.kind in _CONVEX) == convex]
+            sweeps[convex] = pts, stats_along(profile, pts, sharing)
+        pts, stats = sweeps[convex]
+        results.append(_select(profile, spec, pts, assemble_along(spec, stats)))
+    return tuple(results)
 
 
 def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
     """The points whose values `_select` needs: the agent locations for mtgc and magc, else `breakpoints`."""
     if spec.kind in _CONVEX:
-        # Convex objectives kink only at agent locations.
-        return _merge_close(sorted(set(profile.locations)))
+        # Convex objectives kink only at agent locations, which are ascending
+        # and whose repeats are identical floats, so merging drops them.
+        return _merge_close(profile.locations)
     return breakpoints(profile)
 
 

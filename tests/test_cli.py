@@ -372,6 +372,21 @@ class TestSweep:
         assert len(warnings) == len(single_group)
         assert all(line.startswith("warning: skipping mog:2 on ") for line in warnings)
 
+    def test_instance_whose_optimum_overflows_prints_no_rows(self, tmp_path, capsys):
+        # b_overflow's mtgc optimum is finite and its iif1 optimum overflows
+        # (its direct sum at the minimizer reads inf): its optima are taken
+        # before its first row, so it prints none.
+        (tmp_path / "a_good.json").write_text('{"schema_version": 1, "groups": [[0.0], [1.0]]}')
+        (tmp_path / "b_overflow.json").write_text(
+            '{"schema_version": 1, "groups": [[-4.145137842670136e307], [0.0], [-8.308694924264462e299], [1.7e308]]}'
+        )
+        code = run_cli(["sweep", str(tmp_path), "--mech", "mdm", "--obj", "mtgc,iif1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: iif1 overflows")
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(r["instance"], r["objective"]) for r in rows] == [("a_good", "mtgc"), ("a_good", "iif1")]
+
     def test_empty_directory_exits_one(self, tmp_path):
         assert run_cli(["sweep", str(tmp_path), "--mech", "mdm", "--obj", "mtgc"]) == 1
 

@@ -8,7 +8,8 @@ window, so the two must agree bit for bit.
 
 `optima`, which shares each group sweep between the objectives it is given,
 must agree with `optimize` bit for bit on the same profiles, whichever
-objectives share a sweep and in whatever order they are asked.
+objectives share a sweep and in whatever order they are given, and raise what
+the first objective that fails raises.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 
 import pytest
 
-from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, build_profile, optima, optimize
+from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, MTGC, build_profile, optima, optimize
 from fairline import oracle
 from fairline.model import _merge_close
 from fairline.objectives import combine, eval_point
@@ -126,28 +127,31 @@ def test_cut_matches_every_interval_search_near_float_max(raw):
         _assert_same_optimum(profile, spec, raw)
 
 
-def _assert_optima_match_optimize(profile, specs, asked, want):
-    # Each of `asked` from one `optima(profile, specs)`, asked twice: the
-    # second answer is the first one, not a recomputation.
-    optimum = optima(profile, specs)
-    for spec in asked:
-        got = _outcome(lambda _, s: optimum(s), profile, spec)
-        assert got == want[spec], (specs, spec.label, profile.raw())
-        if not isinstance(got, type):
-            assert optimum(spec) is optimum(spec)
+def _assert_optima_match_optimize(profile, specs, want):
+    # One `optima(profile, specs)`: `optimize`'s results in `specs` order, or
+    # the error of the first spec whose optimum raises.
+    expected = [want[spec] for spec in specs]
+    errors = [w for w in expected if isinstance(w, type)]
+    try:
+        got = optima(profile, specs)
+    except Exception as exc:
+        assert errors and type(exc) is errors[0], (specs, exc, profile.raw())
+        return
+    assert not errors, (specs, profile.raw())
+    assert [(r.location, r.value, r.minimizers) for r in got] == expected, (specs, profile.raw())
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e15])
 def test_optima_match_optimize(scale):
     # All ten objectives in a random order, split at a random point into two
-    # `optima` calls, each asked in another random order.
+    # `optima` calls.
     rng = random.Random(7_103)
     for profile in _draws(scale):
         want = {spec: _outcome(optimize, profile, spec) for spec in SPECS}
         specs = rng.sample(SPECS, len(SPECS))
         cut = rng.randint(1, len(SPECS))
         for part in (specs[:cut], specs[cut:]):
-            _assert_optima_match_optimize(profile, part, rng.sample(part, len(part)), want)
+            _assert_optima_match_optimize(profile, part, want)
 
 
 @pytest.mark.parametrize("raw", [raw for raw, _ in NEAR_FLOAT_MAX] + OVERFLOWING + [
@@ -156,22 +160,32 @@ def test_optima_match_optimize(scale):
 ])
 def test_optima_match_optimize_for_every_subset(raw):
     # What an objective's group sweep holds depends only on which objectives
-    # share its kinks, and on which of them is asked first.
+    # share its kinks; which one raises first depends on their order.
     profile = build_profile(raw, max(g for _, g in raw))
     want = {spec: _outcome(optimize, profile, spec) for spec in SPECS}
     rng = random.Random(5_501)
     for size in range(1, len(SPECS) + 1):
         for subset in itertools.combinations(SPECS, size):
-            specs = rng.sample(subset, size)
-            _assert_optima_match_optimize(profile, specs, rng.sample(specs, size), want)
+            _assert_optima_match_optimize(profile, rng.sample(subset, size), want)
 
 
-def test_optima_refuse_an_objective_they_were_not_given():
+def test_optima_of_a_repeated_objective(monkeypatch):
+    # One result per spec given, and one sweep per kink grid however often
+    # an objective on it repeats.
+    swept = []
+    stats_along = oracle.stats_along
+
+    def counted_stats(profile, ys, specs):
+        swept.append(tuple(specs))
+        return stats_along(profile, ys, specs)
+
+    monkeypatch.setattr(oracle, "stats_along", counted_stats)
     profile = build_profile([(0.0, 1), (5.0, 1), (5.0, 2), (12.0, 2)], 2)
-    optimum = optima(profile, MAIN_OBJECTIVES)
-    assert optimum(IIF1) == optimize(profile, IIF1)
-    with pytest.raises(KeyError, match="alt-a-max"):
-        optimum(ALT_OBJECTIVES[2])
+    got = optima(profile, (IIF1, MTGC, IIF1))
+    assert swept == [(IIF1, IIF1), (MTGC,)]
+    assert len(got) == 3
+    assert got[0] == got[2] == optimize(profile, IIF1)
+    assert got[1] == optimize(profile, MTGC)
 
 
 def test_cut_searches_few_intervals(monkeypatch):
