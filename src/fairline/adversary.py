@@ -106,11 +106,13 @@ def _perturb(
     n = profile.n
     if profile.group_count > 1 and rng.random() < 0.25:
         i = rng.randrange(n)
-        old = profile.group_of(i)
+        pairs = profile.raw()
+        x, old = pairs[i]
         if profile.group_sizes[old - 1] <= 1:
             return None
         choices = [g for g in range(1, profile.group_count + 1) if g != old]
-        return profile.with_group(i, rng.choice(choices))
+        pairs[i] = (x, rng.choice(choices))
+        return build_profile(pairs, profile.group_count)
     i = rng.randrange(n)
     own = profile.locations[i]
     moved = min(1.0, max(0.0, own + rng.uniform(-scale, scale)))

@@ -124,10 +124,10 @@ class GroupedProfile:
         # entry equal to it, and a deviator comes out at any entry equal to
         # its location.
         rest_locs, rest = locs, list(self.group_locations)
+        pairs = self.raw()
         counts: dict[int, int] = {}
         for k, i in enumerate(movers):
-            x = locs[i]
-            g = self.group_of(i)
+            x, g = pairs[i]
             counts[g] = counts.get(g, 0) + 1
             rest_locs = rest_locs[: i - k] + rest_locs[i - k + 1 :]
             spot = bisect_left(rest[g - 1], x)
@@ -149,52 +149,6 @@ class GroupedProfile:
             return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes, meds)
 
         return deviated
-
-    def group_of(self, index: int) -> int:
-        """The group of agent `index`, in profile order (that of `raw()`), without building `raw()`.
-
-        Indices follow sequence indexing, negative ones included. Colocated
-        agents are ordered by group, so an agent's rank among the agents at
-        its location names its group.
-        """
-        locs = self.locations
-        i = range(len(locs))[index]
-        x = locs[i]
-        rank = i - bisect_left(locs, x)
-        for g, members in enumerate(self.group_locations, start=1):
-            rank -= members.count(x)
-            if rank < 0:
-                break
-        return g
-
-    def with_group(self, index: int, group: int) -> "GroupedProfile":
-        """New profile with agent `index` relabelled to `group`.
-
-        Equal to `build_profile` on the relabelled (location, group) pairs,
-        views included, and raises what it raises: ProfileError for a group
-        outside 1..group_count and EmptyGroupError when the agent was its
-        group's only member; an index out of range raises IndexError. Only
-        the two groups involved change: the agent leaves one sorted member
-        tuple and enters the other at its place, and `locations` is shared.
-        """
-        old = self.group_of(index)
-        new = int(group)
-        if not 1 <= new <= self.group_count:
-            raise ProfileError(f"group {new} outside 1..{self.group_count}")
-        if new == old:
-            return self
-        source = self.group_locations[old - 1]
-        if len(source) == 1:
-            raise EmptyGroupError(old)
-        x = self.locations[index]
-        spot = bisect_left(source, x)
-        target = self.group_locations[new - 1]
-        into = bisect_left(target, x)
-        views, sizes, medians = list(self.group_locations), list(self.group_sizes), list(self.group_medians)
-        for g, members in ((old, source[:spot] + source[spot + 1 :]), (new, target[:into] + (x,) + target[into:])):
-            views[g - 1], sizes[g - 1], medians[g - 1] = members, len(members), _left_median(members)
-        profile = object.__new__(GroupedProfile)
-        return _set_views(profile, tuple(views), self.locations, tuple(sizes), tuple(medians))
 
 
 def _merge_close(sorted_points: Iterable[float]) -> list[float]:

@@ -258,17 +258,9 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     value at the minimizer is not finite while 2·n·span overflows; only
     coordinates near the float maximum bring either about.
     """
-    x1, xn = profile.span
     sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
     results = []
     for spec in specs:
-        if xn - x1 <= 0.0:
-            # Every agent sits at x1.
-            value = eval_point(profile, spec, x1)
-            if math.isinf(value):
-                raise UnboundedObjectiveError(f"{spec.label} is unbounded on this instance")
-            results.append(OptimalResult(x1, value, (x1,)))
-            continue
         convex = spec.kind in _CONVEX
         if convex not in sweeps:
             pts = _kinks(profile, spec)

@@ -197,7 +197,8 @@ def test_conformance_reports_are_pinned():
 
 def reference_climb(mechanism, spec, config, seed_profiles=()):
     """`hill_climb` without its shortcuts: every candidate is built with a
-    fresh deviation path or `with_group` and scored.
+    fresh deviation path or a `build_profile` of the relabelled pairs, and
+    scored.
 
     Returns the report and, per restart, the profiles scored in order.
     """
@@ -220,8 +221,8 @@ def reference_climb(mechanism, spec, config, seed_profiles=()):
                 old = pairs[i][1]
                 if current.group_sizes[old - 1] <= 1:
                     continue
-                new = rng.choice([g for g in range(1, current.group_count + 1) if g != old])
-                candidate = current.with_group(i, new)
+                pairs[i] = (pairs[i][0], rng.choice([g for g in range(1, current.group_count + 1) if g != old]))
+                candidate = build_profile(pairs, current.group_count)
             else:
                 i = rng.randrange(current.n)
                 own = pairs[i][0]

@@ -19,7 +19,7 @@ from fairline import (
 from fairline import model
 from fairline.objectives import IIF1, MTGC, alt, constituents
 
-from conftest import grouped_profiles, random_pairs
+from conftest import grouped_profiles
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -92,70 +92,10 @@ class TestBuildProfile:
         assert q.locations == (1.0, 5.0)
         assert tuple(g for _, g in q.raw()) == (2, 1)
 
-    def test_with_group_keeps_partition_valid(self):
-        p = build_profile([(0, 1), (1, 2), (2, 2)], 2)
-        q = p.with_group(1, 1)
-        assert q.group_sizes == (2, 1)
-        with pytest.raises(EmptyGroupError):
-            p.with_group(0, 2)
-
     def test_oversized_report_rejected(self):
         p = build_profile([(0, 1), (1, 2)], 2)
         with pytest.raises(InvalidLocationError):
             p.deviations((0,))(10**400)
-
-
-class TestRelabel:
-    VIEWS = ("locations", "group_locations", "group_sizes", "group_medians")
-
-    def test_group_of_reads_the_profile_order(self):
-        rng = random.Random(8_120)
-        for _ in range(300):
-            profile = build_profile(*random_pairs(rng, max_m=4))
-            labels = [g for _, g in profile.raw()]
-            assert [profile.group_of(i) for i in range(profile.n)] == labels
-            assert [profile.group_of(i - profile.n) for i in range(profile.n)] == labels
-            for index in (profile.n, -profile.n - 1):
-                with pytest.raises(IndexError):
-                    profile.group_of(index)
-
-    def test_with_group_equals_a_rebuild(self):
-        rng = random.Random(8_121)
-        for _ in range(300):
-            profile = build_profile(*random_pairs(rng, max_m=4))
-            m = profile.group_count
-            for index in range(-profile.n, profile.n):
-                for group in range(1, m + 1):
-                    pairs = profile.raw()
-                    pairs[index] = (pairs[index][0], group)
-                    try:
-                        want = build_profile(pairs, m)
-                    except EmptyGroupError as exc:
-                        with pytest.raises(EmptyGroupError) as got:
-                            profile.with_group(index, group)
-                        assert got.value.group == exc.group
-                        continue
-                    got = profile.with_group(index, group)
-                    assert got == want and hash(got) == hash(want)
-                    for view in self.VIEWS:
-                        assert getattr(got, view) == getattr(want, view), view
-                    assert got.raw() == want.raw()
-
-    def test_with_group_keeps_its_errors(self):
-        p = build_profile([(0, 1), (1, 2), (2, 2)], 2)
-        for group in (0, 3, -1):
-            with pytest.raises(ProfileError, match=f"group {group} outside 1..2"):
-                p.with_group(1, group)
-        # A bad group is reported before an emptied one, as the rebuild did.
-        with pytest.raises(ProfileError, match="group 3 outside"):
-            p.with_group(0, 3)
-        with pytest.raises(EmptyGroupError, match="group 1 has no members"):
-            p.with_group(0, 2)
-        assert p.with_group(0, 1) == p
-        with pytest.raises(IndexError):
-            p.with_group(3, 1)
-        with pytest.raises(ValueError):
-            p.with_group(1, "two")
 
 
 class TestDirectConstructor:
