@@ -24,7 +24,10 @@ value at every kink; `objectives.combine_along` folds the columns over the
 groups into the kink values, and `_interval_floors` reads the same columns.
 Only an interval that is searched has its two kinks' values gathered into
 rows (`_row`). The crossings, at O(m^2) per interval, are searched only where
-they could reach the optimum. Inside an interval every constituent lies
+they could reach the optimum. For the convex mtgc and magc that is next to
+the kinks tied with the best one: a convex function's minimizers form one
+interval, which starts past the last kink left of them that lies above the
+tie window. For the others, inside an interval every constituent lies
 between its two endpoint values, so the objective there is at least an
 "interval floor" built from them (`_interval_floors`). An interval whose
 floor, less a rounding slack, lies above the best kink value's tie window
@@ -246,9 +249,12 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
 
     Each optimum evaluates every kink (kept as per-group columns through
     `combine_along` and `_interval_floors`), then the crossings inside the
-    intervals that can hold the optimum: the two around the best kink for
-    the convex mtgc and magc, and otherwise every interval whose floor
-    reaches the best kink value's tie window (see the module docstring).
+    intervals that can hold the optimum. For the convex mtgc and magc those
+    run from the interval left of the stretch of kinks tied with the best
+    one (within `_tie_tol`) to the interval right of it, since a flat
+    optimum may round least at any kink of the stretch. Otherwise they are
+    every interval whose floor reaches the best kink value's tie window
+    (see the module docstring).
     O(n·m^2) at worst for n agents in m groups. It is the leftmost
     minimizer, with its value re-evaluated by `eval_point`; `minimizers`
     lists every evaluated candidate tied with the optimum up to rounding
@@ -287,15 +293,19 @@ def _select(
     values = combine_along(spec, columns)
     candidates: list[tuple[float, float]]
     if spec.kind in _CONVEX:
-        # The true minimum lies in one of the two intervals around the best kink.
-        i0 = values.index(min(values))
+        # The minimizers lie between the kinks on either side of the stretch
+        # of kinks tied with the best one: on a flat optimum the best kink
+        # may be any of the stretch, and the leftmost minimizer left of it.
+        best = min(values)
+        cut = best + _tie_tol(best)
+        lo = hi = values.index(best)
+        while lo > 0 and values[lo - 1] <= cut:
+            lo -= 1
+        while hi < len(values) - 1 and values[hi + 1] <= cut:
+            hi += 1
         candidates = list(zip(pts, values))
-        for lo in (i0 - 1, i0):
-            hi = lo + 1
-            if 0 <= lo and hi < len(pts):
-                candidates.extend(
-                    _crossing_candidates(spec, pts[lo], _row(columns, lo), pts[hi], _row(columns, hi))
-                )
+        for k in range(max(lo - 1, 0), min(hi + 1, len(pts) - 1)):
+            candidates.extend(_crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1)))
     else:
         # No crossing in an interval whose floor exceeds the best kink's tie
         # window can be a minimizer. A NaN floor (inf slack) is searched.

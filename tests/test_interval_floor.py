@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAIN_OBJECTIVES, MTGC, build_profile, optima, optimize
+from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAGC, MAIN_OBJECTIVES, MTGC, build_profile, optima, optimize
 from fairline import oracle
 from fairline.model import _merge_close
 from fairline.objectives import combine, eval_point
@@ -42,7 +42,11 @@ DRAWS = 1_000
 
 
 def every_interval_optimum(profile, spec) -> OptimalResult:
-    """`optimize` with crossings searched on every interval of the non-convex path."""
+    """`optimize` with crossings searched on every interval of the non-convex path.
+
+    On a zero span it reads the objective at the one agent location, which
+    `optimize` reaches through its general path.
+    """
     x1, xn = profile.span
     if xn - x1 <= 0.0:
         value = eval_point(profile, spec, x1)
@@ -50,21 +54,45 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
             raise UnboundedObjectiveError(spec.label)
         return OptimalResult(x1, value, (x1,))
     if spec.kind in ("mtgc", "magc"):
-        pts = _merge_close(sorted(set(profile.locations)))
-        fams = rows(columns_of(profile, spec, pts))
-        values = [combine(spec, f) for f in fams]
-        i0 = values.index(min(values))
-        candidates = list(zip(pts, values))
-        for k in (i0 - 1, i0):
-            if 0 <= k < len(pts) - 1:
-                candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
-    else:
-        pts = breakpoints(profile)
-        fams = rows(columns_of(profile, spec, pts))
-        candidates = [(pts[0], combine(spec, fams[0]))]
-        for k in range(len(pts) - 1):
-            candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
-            candidates.append((pts[k + 1], combine(spec, fams[k + 1])))
+        return _optimum(profile, spec, _convex_candidates(profile, spec, every_interval=False))
+    pts = breakpoints(profile)
+    fams = rows(columns_of(profile, spec, pts))
+    candidates = [(pts[0], combine(spec, fams[0]))]
+    for k in range(len(pts) - 1):
+        candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
+        candidates.append((pts[k + 1], combine(spec, fams[k + 1])))
+    return _optimum(profile, spec, candidates)
+
+
+def every_agent_interval_optimum(profile, spec) -> OptimalResult:
+    """mtgc's or magc's optimum with crossings searched on every interval between agent locations."""
+    return _optimum(profile, spec, _convex_candidates(profile, spec, every_interval=True))
+
+
+def _convex_candidates(profile, spec, every_interval):
+    """The agent locations, then the crossings on every interval or on those `optimize`'s convex rule searches."""
+    pts = _merge_close(sorted(set(profile.locations)))
+    fams = rows(columns_of(profile, spec, pts))
+    values = [combine(spec, f) for f in fams]
+    lo, hi = 0, len(pts) - 1
+    if not every_interval:
+        # The stretch of kinks tied with the best one, and one more interval
+        # on either side of it.
+        cut = min(values) + _tie_tol(min(values))
+        lo = hi = values.index(min(values))
+        while lo > 0 and values[lo - 1] <= cut:
+            lo -= 1
+        while hi < len(values) - 1 and values[hi + 1] <= cut:
+            hi += 1
+        lo, hi = max(lo - 1, 0), min(hi + 1, len(pts) - 1)
+    candidates = list(zip(pts, values))
+    for k in range(lo, hi):
+        candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
+    return candidates
+
+
+def _optimum(profile, spec, candidates) -> OptimalResult:
+    """The leftmost least of `candidates`, (location, value) pairs, by `optimize`'s tie rule."""
     finite = [(y, v) for y, v in candidates if not math.isinf(v)]
     if not finite:
         raise UnboundedObjectiveError(spec.label)
@@ -74,6 +102,7 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
     tied = vmin + _tie_tol(vmin)
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
     value = eval_point(profile, spec, minimizers[0])
+    x1, xn = profile.span
     if not math.isfinite(value) and math.isinf(2.0 * profile.n * (xn - x1)):
         raise ObjectiveOverflowError(spec.label)
     return OptimalResult(minimizers[0], value, tuple(minimizers))
@@ -125,6 +154,32 @@ def test_cut_matches_every_interval_search_near_float_max(raw):
     profile = build_profile(raw, max(g for _, g in raw))
     for spec in SPECS:
         _assert_same_optimum(profile, spec, raw)
+
+
+# OVERFLOWING is left out: there a crossing on an interval far from the
+# optimum reads inf - inf, so a search of every interval raises
+# ObjectiveOverflowError where `optimize` need not.
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e15])
+def test_convex_optimum_matches_every_agent_interval_search(scale):
+    for k, profile in enumerate(_draws(scale)):
+        for spec in (MTGC, MAGC):
+            want = _outcome(every_agent_interval_optimum, profile, spec)
+            assert _outcome(optimize, profile, spec) == want, (k, scale, spec.label, profile.raw())
+
+
+def test_flat_convex_optimum_reports_its_leftmost_minimizer():
+    # The least rounded kink value is 0.1's, and -0.2 ties with it, so the
+    # leftmost minimizers lie inside (-1.0, -0.2), two intervals left of 0.1.
+    raw = [(-1.8, 3), (-1.3, 1), (-1.0, 3), (-0.2, 2), (0.1, 3), (0.2, 1), (0.7, 2), (2.7, 2), (2.8, 3)]
+    profile = build_profile(raw, 3)
+    got = optimize(profile, MTGC)
+    assert (got.location, got.value, got.minimizers) == (-0.8333333333333328, 5.7, (-0.8333333333333328, -0.2, 0.1))
+    got = optimize(profile, MAGC)
+    assert (got.location, got.value, got.minimizers) == (
+        -0.35833333333333306,
+        1.4249999999999998,
+        (-0.35833333333333306, -0.2, 0.1),
+    )
 
 
 def _assert_optima_match_optimize(profile, specs, want):
