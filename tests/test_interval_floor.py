@@ -4,7 +4,10 @@
 kinks and crossings as `optimize` and selects the optimum by the same tie
 rule, but on the non-convex path it searches crossings on every interval.
 The cut skips only intervals whose crossings all lie above the optimum's tie
-window, so the two must agree bit for bit.
+window, so the two must agree bit for bit. `every_agent_interval_optimum`
+searches mtgc and magc on every interval between agent locations, where
+`optimize` searches only those next to the kinks tied with the best one; a
+convex objective's minimizers lie there, so these too must agree.
 
 `optima`, which shares each group sweep between the objectives it is given,
 must agree with `optimize` bit for bit on the same profiles, whichever
