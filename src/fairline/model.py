@@ -124,7 +124,7 @@ class GroupedProfile:
         # entry equal to it, and a deviator comes out at any entry equal to
         # its location.
         rest_locs, rest = locs, list(self.group_locations)
-        pairs = self.raw()
+        pairs = self.raw() if movers else []
         counts: dict[int, int] = {}
         for k, i in enumerate(movers):
             x, g = pairs[i]

@@ -2,12 +2,11 @@
 
 `every_interval_optimum` is a test-only reference: it evaluates the same
 kinks and crossings as `optimize` and selects the optimum by the same tie
-rule, but on the non-convex path it searches crossings on every interval.
-The cut skips only intervals whose crossings all lie above the optimum's tie
-window, so the two must agree bit for bit. `every_agent_interval_optimum`
-searches mtgc and magc on every interval between agent locations, where
-`optimize` searches only those next to the kinks tied with the best one; a
-convex objective's minimizers lie there, so these too must agree.
+rule, but it searches crossings on every interval. On the non-convex path
+the cut skips only intervals whose crossings all lie above the optimum's tie
+window, and mtgc and magc, which are convex, have their minimizers next to
+the kinks tied with the best one, where `optimize` searches them; so the two
+must agree bit for bit.
 
 `optima`, which shares each group sweep between the objectives it is given,
 must agree with `optimize` bit for bit on the same profiles, whichever
@@ -33,6 +32,7 @@ from fairline.oracle import (
     UnboundedObjectiveError,
     _crossing_candidates,
     _interval_floors,
+    _kinks,
     _tie_tol,
     breakpoints,
 )
@@ -45,53 +45,22 @@ DRAWS = 1_000
 
 
 def every_interval_optimum(profile, spec) -> OptimalResult:
-    """`optimize` with crossings searched on every interval of the non-convex path.
+    """`optimize` with crossings searched on every kink interval.
 
-    On a zero span it reads the objective at the one agent location, which
-    `optimize` reaches through its general path.
+    The kinks are `optimize`'s: the agent locations for mtgc and magc and
+    `breakpoints` otherwise. On a zero span it reads the objective at the one
+    agent location, as `optimize` does.
     """
     x1, xn = profile.span
     if xn - x1 <= 0.0:
-        value = eval_point(profile, spec, x1)
-        if math.isinf(value):
-            raise UnboundedObjectiveError(spec.label)
-        return OptimalResult(x1, value, (x1,))
-    if spec.kind in ("mtgc", "magc"):
-        return _optimum(profile, spec, _convex_candidates(profile, spec, every_interval=False))
-    pts = breakpoints(profile)
+        return OptimalResult(x1, eval_point(profile, spec, x1), (x1,))
+    pts = _kinks(profile, spec)
     fams = rows(columns_of(profile, spec, pts))
     candidates = [(pts[0], combine(spec, fams[0]))]
     for k in range(len(pts) - 1):
         candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
         candidates.append((pts[k + 1], combine(spec, fams[k + 1])))
     return _optimum(profile, spec, candidates)
-
-
-def every_agent_interval_optimum(profile, spec) -> OptimalResult:
-    """mtgc's or magc's optimum with crossings searched on every interval between agent locations."""
-    return _optimum(profile, spec, _convex_candidates(profile, spec, every_interval=True))
-
-
-def _convex_candidates(profile, spec, every_interval):
-    """The agent locations, then the crossings on every interval or on those `optimize`'s convex rule searches."""
-    pts = _merge_close(sorted(set(profile.locations)))
-    fams = rows(columns_of(profile, spec, pts))
-    values = [combine(spec, f) for f in fams]
-    lo, hi = 0, len(pts) - 1
-    if not every_interval:
-        # The stretch of kinks tied with the best one, and one more interval
-        # on either side of it.
-        cut = min(values) + _tie_tol(min(values))
-        lo = hi = values.index(min(values))
-        while lo > 0 and values[lo - 1] <= cut:
-            lo -= 1
-        while hi < len(values) - 1 and values[hi + 1] <= cut:
-            hi += 1
-        lo, hi = max(lo - 1, 0), min(hi + 1, len(pts) - 1)
-    candidates = list(zip(pts, values))
-    for k in range(lo, hi):
-        candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
-    return candidates
 
 
 def _optimum(profile, spec, candidates) -> OptimalResult:
@@ -152,22 +121,19 @@ OVERFLOWING = [
 ]
 
 
-@pytest.mark.parametrize("raw", [raw for raw, _ in NEAR_FLOAT_MAX] + OVERFLOWING)
+# Every agent at one point, where `breakpoints` reads the midpoint of that
+# point and itself as -inf.
+ZERO_SPAN = [[(-1e308, 1)], [(-1.7e308, 1), (-1.7e308, 2)]]
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in NEAR_FLOAT_MAX] + OVERFLOWING + ZERO_SPAN)
 def test_cut_matches_every_interval_search_near_float_max(raw):
+    # mtgc and magc are left out on OVERFLOWING: there a crossing on an
+    # interval far from their optimum reads inf - inf, so a search of every
+    # interval raises ObjectiveOverflowError where `optimize` need not.
     profile = build_profile(raw, max(g for _, g in raw))
-    for spec in SPECS:
+    for spec in NON_CONVEX if raw in OVERFLOWING else SPECS:
         _assert_same_optimum(profile, spec, raw)
-
-
-# OVERFLOWING is left out: there a crossing on an interval far from the
-# optimum reads inf - inf, so a search of every interval raises
-# ObjectiveOverflowError where `optimize` need not.
-@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e15])
-def test_convex_optimum_matches_every_agent_interval_search(scale):
-    for k, profile in enumerate(_draws(scale)):
-        for spec in (MTGC, MAGC):
-            want = _outcome(every_agent_interval_optimum, profile, spec)
-            assert _outcome(optimize, profile, spec) == want, (k, scale, spec.label, profile.raw())
 
 
 def test_flat_convex_optimum_reports_its_leftmost_minimizer():
