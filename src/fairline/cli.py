@@ -22,7 +22,7 @@ from .instances import ParseError, ValidationError, load_instance
 from .mechanisms import _RULES, MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
 from .model import GroupedProfile, build_profile
 from .objectives import ObjectiveSpec, parse_objective
-from .oracle import optima, optimize, ratio_to
+from .oracle import optima, optimize, ratio_to, ratios_to
 
 # Extension point used by tests to audit deliberately broken rules.
 EXTRA_MECHANISMS: dict[str, Callable] = {}
@@ -254,8 +254,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 # Once, before the instance's first row: an optimum that raises prints
                 # none of them, and an instance no rule applies to takes none.
                 results = optima(doc.profile, objectives)
-            for spec, optimal in zip(objectives, results):
-                report = ratio_to(doc.profile, outcome, spec, optimal)
+            for spec, report in zip(objectives, ratios_to(doc.profile, outcome, objectives, results)):
                 writer.writerow(
                     [
                         name,

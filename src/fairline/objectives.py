@@ -15,7 +15,11 @@ optimizer's kink pass) it holds one column per group instead, with the
 group's value at every point. Which constituents an objective combines
 (`_assembler`) and how it combines them (`ObjectiveSpec._combiner`) are
 written once and serve both forms, and the two agree bit for bit wherever
-they are built from the same per-group statistics. Along many points the
+they are built from the same per-group statistics. At one point the
+statistics come from direct sums (`_stats_at`), which `constituents`,
+`eval_point`, `eval_outcome` and `eval_outcomes` all read; `eval_outcomes`
+scores several objectives from one such pass per support point, each
+bit-identical to its own `eval_outcome`. Along many points the
 work comes in two steps: `stats_along` walks each group once for every
 per-group statistic a set of objectives reads (one objective's, or several
 that share the points), and `assemble_along` builds one objective's families
@@ -29,7 +33,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, or_, sub, truediv
 from typing import Any
 
@@ -157,8 +161,8 @@ def _assembler(spec: ObjectiveSpec, plus: Callable[[Any, Any], Any]) -> Callable
     list with one entry per group. An entry is either a value at one point
     (`constituents`: `plus` is addition) or a column of values along many
     points (`assemble_along`: addition entry by entry). It reads only the
-    statistics the objective combines (`ObjectiveSpec._statistics`), each at
-    most once, so callers may pass lazy iterables or nothing for the rest.
+    statistics the objective combines (`ObjectiveSpec._statistics`), so
+    callers may pass empty lists for the rest.
     """
     kind = spec.kind
     if kind == "mtgc" or spec.h == "total":
@@ -172,6 +176,36 @@ def _assembler(spec: ObjectiveSpec, plus: Callable[[Any, Any], Any]) -> Callable
     return lambda totals, averages, spreads, farthest: (list(averages),)
 
 
+def _stats_at(profile: GroupedProfile, need: int, y: float) -> tuple[list[float], ...]:
+    """The per-group statistics flagged in `need` at y, in `stats_along`'s order; empty lists for the rest.
+
+    Each is a direct sum or scan of the group's members, so it is exact up to
+    one rounding per member. Averages divide the totals by the group sizes.
+    """
+    groups = profile.group_locations
+    totals: list[float] = []
+    averages: list[float] = []
+    spreads: list[float] = []
+    farthest: list[float] = []
+    if need & (_TOTALS | _AVERAGES):
+        totals = [_total(locs, y) for locs in groups]
+        if need & _AVERAGES:
+            averages = list(map(truediv, totals, profile.group_sizes))
+    if need & _SPREADS:
+        spreads = [_spread(locs, y) for locs in groups]
+    if need & _FARTHEST:
+        farthest = [_farthest(locs, y) for locs in groups]
+    return totals, averages, spreads, farthest
+
+
+def _needs(specs: Iterable[ObjectiveSpec]) -> int:
+    """The union of the per-group statistics the objectives of `specs` read."""
+    need = 0
+    for spec in specs:
+        need |= spec._statistics
+    return need
+
+
 def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tuple[list[float], ...]:
     """Per-group values at y of each family of constituents the objective combines.
 
@@ -180,14 +214,7 @@ def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tupl
     exact optimizer interpolates these families between kinks, so `combine`
     of an interpolated family is the objective on that stretch.
     """
-    groups = profile.group_locations
-    at = repeat(y)
-    return _assembler(spec, add)(
-        map(_total, groups, at),
-        map(truediv, map(_total, groups, at), profile.group_sizes),
-        map(_spread, groups, at),
-        map(_farthest, groups, at),
-    )
+    return _assembler(spec, add)(*_stats_at(profile, spec._statistics, y))
 
 
 def _sweep_group(
@@ -262,9 +289,7 @@ def stats_along(profile: GroupedProfile, ys: Sequence[float], specs: Iterable[Ob
     not depend on what the others read, so `assemble_along` of the result is
     bit-identical whichever other objectives share it.
     """
-    need = 0
-    for spec in specs:
-        need |= spec._statistics
+    need = _needs(specs)
     groups = profile.group_locations
     totals: list[list[float]] = []
     averages: list[list[float]] = []
@@ -311,10 +336,20 @@ def combine(spec: ObjectiveSpec, families: tuple[list[float], ...]) -> float:
     return merge(hi, pick(families[f]))
 
 
-def _across(pick: Callable[..., float], columns: list[list[float]]) -> Iterable[float]:
-    # `pick` over the groups at each point; with one group that is its own
-    # column, as max() and min() refuse a single float.
-    return columns[0] if len(columns) == 1 else map(pick, *columns)
+def _across(pick: Callable[..., float], columns: list[list[float]]) -> list[float]:
+    """`pick` (max or min) over the groups at each point, folded one column at a time.
+
+    Each step keeps what the builtin keeps: the first of equal values, and a
+    NaN that comes first. A fold costs one comparison per group and point, a
+    builtin call per point several.
+    """
+    out = columns[0]
+    for column in columns[1:]:
+        if pick is max:
+            out = [s if s > h else h for h, s in zip(out, column)]
+        else:
+            out = [s if s < h else h for h, s in zip(out, column)]
+    return out
 
 
 def combine_along(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...]) -> list[float]:
@@ -338,4 +373,17 @@ def eval_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> float:
 
 def eval_outcome(profile: GroupedProfile, spec: ObjectiveSpec, outcome: FacilityOutcome) -> float:
     """Expected objective value over a lottery's support."""
-    return sum(p * eval_point(profile, spec, pt) for pt, p in outcome.support)
+    return eval_outcomes(profile, (spec,), outcome)[0]
+
+
+def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outcome: FacilityOutcome) -> list[float]:
+    """`eval_outcome` of each objective in `specs`, in order, bit for bit.
+
+    Each support point's per-group statistics are taken once, for every
+    objective that reads them, and each objective combines its own families
+    from them. The expectation adds the same products in the same order for
+    each objective, whichever others share the pass.
+    """
+    need = _needs(specs)
+    at = [(p, _stats_at(profile, need, pt)) for pt, p in outcome.support]
+    return [sum(p * combine(spec, _assembler(spec, add)(*stats)) for p, stats in at) for spec in specs]

@@ -23,7 +23,9 @@ objective's families from the sweep, one column per group with the group's
 value at every kink; `objectives.combine_along` folds the columns over the
 groups into the kink values, and `_interval_floors` reads the same columns.
 Only an interval that is searched has its two kinks' values gathered into
-rows (`_row`). The crossings, at O(m^2) per interval, are searched only where
+rows (`_row`). The kink values stay one list beside the kinks, which the tie
+cut, the least value and the minimizers each read in one pass; only the
+crossings are gathered as (location, value) pairs. The crossings, at O(m^2) per interval, are searched only where
 they could reach the optimum. For the convex mtgc and magc that is next to
 the kinks tied with the best one: a convex function's minimizers form one
 interval, which starts past the last kink left of them that lies above the
@@ -44,7 +46,9 @@ at one point and the column pass at every kink, so the rule's side and the
 optimum's side of every ratio share one copy of each formula, and the value
 an optimum reports is `eval_point` at the minimizer. The tests check it
 against an independent numpy grid search (`tests/grid_oracle.py`), which
-deliberately shares none of it.
+deliberately shares none of it. `ratios_to` scores one rule's outcome on
+several objectives from one statistics pass per support point
+(`objectives.eval_outcomes`), each report bit-identical to `ratio_to`'s.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -70,6 +74,7 @@ from .objectives import (
     combine,
     combine_along,
     eval_outcome,
+    eval_outcomes,
     eval_point,
     stats_along,
 )
@@ -295,48 +300,59 @@ def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
 def _select(
     profile: GroupedProfile, spec: ObjectiveSpec, pts: Sequence[float], columns: tuple[list[list[float]], ...]
 ) -> OptimalResult:
-    """One optimum's search and selection, given the families at every kink `pts` as columns."""
+    """One optimum's search and selection, given the families at every kink `pts` as columns.
+
+    The kink values stay one list beside `pts`; only the crossings of the
+    searched intervals are gathered, as (y, value) pairs.
+    """
     values = combine_along(spec, columns)
-    candidates: list[tuple[float, float]]
+    kept = [v for v in values if not math.isinf(v)]
+    best = min(kept, default=math.inf)
+    cut = best + _tie_tol(best)
+    searched: Sequence[int]
     if spec.kind in _CONVEX:
         # The minimizers lie between the kinks on either side of the stretch
         # of kinks tied with the best one: on a flat optimum the best kink
         # may be any of the stretch, and the leftmost minimizer left of it.
-        best = min(values)
-        cut = best + _tie_tol(best)
         lo = hi = values.index(best)
         while lo > 0 and values[lo - 1] <= cut:
             lo -= 1
         while hi < len(values) - 1 and values[hi + 1] <= cut:
             hi += 1
-        candidates = list(zip(pts, values))
-        for k in range(max(lo - 1, 0), min(hi + 1, len(pts) - 1)):
-            candidates.extend(_crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1)))
+        searched = range(max(lo - 1, 0), min(hi + 1, len(pts) - 1))
+        # Every kink is a candidate before any crossing.
+        first = 0 if kept else len(values)
     else:
         # No crossing in an interval whose floor exceeds the best kink's tie
         # window can be a minimizer. A NaN floor (inf slack) is searched.
-        best = min((v for v in values if not math.isinf(v)), default=math.inf)
-        cut = best + _tie_tol(best)
         slack = _FLOOR_SLACK * _constituent_bound(profile)
-        candidates = [(pts[0], values[0])]
-        for k, floor in enumerate(_interval_floors(spec, columns, slack)):
-            if not floor > cut:
-                candidates.extend(
-                    _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
-                )
-            candidates.append((pts[k + 1], values[k + 1]))
+        searched = [k for k, floor in enumerate(_interval_floors(spec, columns, slack)) if not floor > cut]
+        # The candidates lie in line order: kink k, then interval k's crossings.
+        first = values.index(kept[0]) if kept else len(values)
 
-    finite = [(y, v) for y, v in candidates if not math.isinf(v)]
-    if not finite:
+    # Past the float maximum a crossing may read inf - inf. As min() over
+    # the candidates in order, the least one reads NaN when the first that
+    # is not inf does, and only then: the crossings of the intervals left
+    # of kink `first`, which is the first kink not inf, come before it.
+    crossings: list[tuple[float, float]] = []
+    ahead = 0
+    for k in searched:
+        crossings += _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
+        if k < first:
+            ahead = len(crossings)
+    lead = [v for _, v in crossings[:ahead] if not math.isinf(v)] + kept[:1]
+    if not lead:
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")
-    vmin = min(v for _, v in finite)
-    if math.isnan(vmin):
-        # A NaN that comes first poisons min(), and no candidate ties with it.
+    if math.isnan(lead[0]):
         raise ObjectiveOverflowError(
             f"{spec.label} overflows the float range on this instance (a candidate reads inf - inf)"
         )
+    vmin = min(lead[:1] + kept + [v for _, v in crossings if not math.isinf(v)])
     tied = vmin + _tie_tol(vmin)
-    minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
+    # `v != math.inf`: the tie window itself overflows when vmin nears the float maximum.
+    ys = [y for y, v in zip(pts, values) if v <= tied and v != math.inf]
+    ys += [y for y, v in crossings if v <= tied and v != math.inf]
+    minimizers = _merge_close(sorted(ys))
     location = minimizers[0]
     value = eval_point(profile, spec, location)
     if not math.isfinite(value) and math.isinf(_constituent_bound(profile)):
@@ -362,7 +378,26 @@ def ratio_to(
     Lets a caller that scores several rules on several objectives apply each
     rule and compute each optimum once.
     """
-    value = eval_outcome(profile, spec, outcome)
+    return _report(eval_outcome(profile, spec, outcome), optimal)
+
+
+def ratios_to(
+    profile: GroupedProfile,
+    outcome: FacilityOutcome,
+    specs: Sequence[ObjectiveSpec],
+    optima: Sequence[OptimalResult],
+) -> tuple[RatioReport, ...]:
+    """`ratio_to` of one rule's `outcome` on each objective of `specs` against its optimum in `optima`.
+
+    The rule is scored on every objective from one statistics pass per
+    support point (`eval_outcomes`), and each report is bit-identical to
+    `ratio_to`'s.
+    """
+    return tuple(map(_report, eval_outcomes(profile, specs, outcome), optima))
+
+
+def _report(value: float, optimal: OptimalResult) -> RatioReport:
+    """The rule's `value` against `optimal`, with the zero-optimum convention."""
     if optimal.value == 0.0:
         rho = 1.0 if value == 0.0 else math.inf
     else:

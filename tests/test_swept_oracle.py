@@ -284,8 +284,8 @@ def test_one_objective_sweeps_only_what_it_reads(monkeypatch):
 OPTIMIZE_DIGEST = "95e2b52338a0ec0994bf66971f417b0db657a80881cd4890ba17ffe7ee5f3a74"
 
 
-def _optimize_outcomes():
-    """`repr` of every seeded `optimize` result, or the exception type it raises."""
+def _optimize_profiles():
+    """The seeded profiles whose `optimize` results `OPTIMIZE_DIGEST` pins."""
     rng = random.Random(31_337)
     profiles = []
     for scale in (1.0, 1e-13, 1e15):
@@ -302,7 +302,12 @@ def _optimize_outcomes():
         ]
     profiles += _profiles()[-3:]
     profiles += [build_profile(raw, 2) for raw, _ in NEAR_FLOAT_MAX]
-    for profile in profiles:
+    return profiles
+
+
+def _optimize_outcomes():
+    """`repr` of every seeded `optimize` result, or the exception type it raises."""
+    for profile in _optimize_profiles():
         for spec in SPECS:
             try:
                 yield repr(optimize(profile, spec))
