@@ -101,8 +101,9 @@ class ObjectiveOverflowError(ValueError):
     """The objective's candidate values leave the float range, so no optimum can be told.
 
     Raised when the least candidate value is NaN, since past the float
-    maximum a constituent reads inf - inf, and when the value re-evaluated
-    at the minimizer is inf or NaN while 2·n·span overflows.
+    maximum a constituent reads inf - inf, and, while 2·n·span overflows,
+    when every candidate is +inf or the value re-evaluated at the minimizer
+    is inf or NaN.
     """
 
 
@@ -145,6 +146,15 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
     for locs in profile.group_locations:
         pts.update((a + b) / 2.0 for a, b in zip(locs, locs[1:]))
         pts.add((locs[0] + locs[-1]) / 2.0)
+    if math.inf in pts or -math.inf in pts:
+        # Past the float maximum a + b overflows where a/2 + b/2 cannot, as in
+        # `mechanisms._three_point`. No agent sits at an infinity, so each one
+        # here is such a midpoint; checking the set once keeps the loop above
+        # free of the test.
+        pts = {p for p in pts if not math.isinf(p)}
+        for locs in profile.group_locations:
+            pairs = [*zip(locs, locs[1:]), (locs[0], locs[-1])]
+            pts.update(a / 2.0 + b / 2.0 for a, b in pairs if math.isinf((a + b) / 2.0))
     return tuple(_merge_close(sorted(pts)))
 
 
@@ -265,9 +275,10 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     lists every evaluated candidate tied with the optimum up to rounding
     noise (`_tie_tol`). Raises the first error any objective raises:
     UnboundedObjectiveError when every candidate is +inf, and
-    ObjectiveOverflowError when the least candidate value is NaN or when the
-    value at the minimizer is not finite while 2·n·span overflows; only
-    coordinates near the float maximum bring either about.
+    ObjectiveOverflowError when the least candidate value is NaN, or when
+    every candidate is +inf or the value at the minimizer is not finite
+    while 2·n·span overflows; only coordinates near the float maximum bring
+    an ObjectiveOverflowError about.
     """
     x1, xn = profile.span
     sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
@@ -342,6 +353,12 @@ def _select(
             ahead = len(crossings)
     lead = [v for _, v in crossings[:ahead] if not math.isinf(v)] + kept[:1]
     if not lead:
+        if math.isinf(_constituent_bound(profile)):
+            # Past the float maximum an inf candidate is overflow, not alt
+            # form "b"'s positive statistic over 0.
+            raise ObjectiveOverflowError(
+                f"{spec.label} overflows the float range on this instance (every candidate reads inf)"
+            )
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")
     if math.isnan(lead[0]):
         raise ObjectiveOverflowError(

@@ -127,6 +127,22 @@ class TestOverflow:
             optimize(profile, IIF1)
         assert issubclass(ObjectiveOverflowError, ValueError)
 
+    def test_every_candidate_inf_past_the_float_range_is_overflow(self):
+        # Each group's totals read inf at both agents; that is overflow, not
+        # alt form "b"'s positive statistic over 0.
+        profile = build_profile([(-1.7e308, 1), (1.7e308, 2)], 2)
+        for spec in (MTGC, MAGC):
+            with pytest.raises(ObjectiveOverflowError, match=f"{spec.label} overflows the float range"):
+                optimize(profile, spec)
+
+    def test_midpoints_past_the_float_range_halve_each_end(self):
+        # (a + b) / 2 overflows on each of these pairs, a singleton group's
+        # agent with itself included; a/2 + b/2 does not.
+        profile = build_profile([(1e308, 1), (1.5e308, 1), (1.2e308, 2)], 2)
+        assert breakpoints(profile) == (1e308, 1.2e308, 1.25e308, 1.5e308)
+        profile = build_profile([(-1.7e308, 1), (-1.6e308, 1), (1.7e308, 2)], 2)
+        assert breakpoints(profile) == (-1.7e308, -1.7e308 / 2 + -1.6e308 / 2, -1.6e308, 1.7e308)
+
     def test_infinite_optimum_raises_a_named_error(self):
         # Every listed minimizer's swept value is finite, but the direct sum
         # at the first one overflows, and so does 2·n·span.
