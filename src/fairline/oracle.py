@@ -280,15 +280,9 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     while 2·n·span overflows; only coordinates near the float maximum bring
     an ObjectiveOverflowError about.
     """
-    x1, xn = profile.span
     sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
     results = []
     for spec in specs:
-        if xn - x1 <= 0.0:
-            # Every agent sits at x1. At |x1| >= 2**1023 `breakpoints` would
-            # read the midpoint of x1 and x1 as an infinity.
-            results.append(OptimalResult(x1, eval_point(profile, spec, x1), (x1,)))
-            continue
         convex = spec.kind in _CONVEX
         if convex not in sweeps:
             pts = _kinks(profile, spec)
