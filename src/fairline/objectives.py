@@ -179,8 +179,8 @@ def _assembler(spec: ObjectiveSpec, plus: Callable[[Any, Any], Any]) -> Callable
 def _stats_at(profile: GroupedProfile, need: int, y: float) -> tuple[list[float], ...]:
     """The per-group statistics flagged in `need` at y, in `stats_along`'s order; empty lists for the rest.
 
-    Each is a direct sum or scan of the group's members, so it is exact up to
-    one rounding per member. Averages divide the totals by the group sizes.
+    Each is summed or scanned directly over the group's members, and averages
+    divide the totals by the group sizes.
     """
     groups = profile.group_locations
     totals: list[float] = []

@@ -25,8 +25,8 @@ groups into the kink values, and `_interval_floors` reads the same columns.
 Only an interval that is searched has its two kinks' values gathered into
 rows (`_row`). The kink values stay one list beside the kinks, which the tie
 cut, the least value and the minimizers each read in one pass; only the
-crossings are gathered as (location, value) pairs. The crossings, at O(m^2) per interval, are searched only where
-they could reach the optimum. For the convex mtgc and magc that is next to
+crossings are gathered as (location, value) pairs. The crossings, at O(m^2)
+per interval, are searched only where they could reach the optimum. For the convex mtgc and magc that is next to
 the kinks tied with the best one: a convex function's minimizers form one
 interval, which starts past the last kink left of them that lies above the
 tie window. For the others, inside an interval every constituent lies
@@ -305,11 +305,7 @@ def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
 def _select(
     profile: GroupedProfile, spec: ObjectiveSpec, pts: Sequence[float], columns: tuple[list[list[float]], ...]
 ) -> OptimalResult:
-    """One optimum's search and selection, given the families at every kink `pts` as columns.
-
-    The kink values stay one list beside `pts`; only the crossings of the
-    searched intervals are gathered, as (y, value) pairs.
-    """
+    """One optimum's search and selection, given the families at every kink `pts` as columns."""
     values = combine_along(spec, columns)
     kept = [v for v in values if not math.isinf(v)]
     best = min(kept, default=math.inf)
@@ -335,10 +331,10 @@ def _select(
         # The candidates lie in line order: kink k, then interval k's crossings.
         first = values.index(kept[0]) if kept else len(values)
 
-    # Past the float maximum a crossing may read inf - inf. As min() over
-    # the candidates in order, the least one reads NaN when the first that
-    # is not inf does, and only then: the crossings of the intervals left
-    # of kink `first`, which is the first kink not inf, come before it.
+    # Past the float maximum a candidate may read inf - inf. The optimum
+    # overflows when the first candidate that is not inf reads NaN, as min()
+    # over the candidates in the order above would: the crossings of the
+    # intervals left of kink `first`, the first kink not inf, come before it.
     crossings: list[tuple[float, float]] = []
     ahead = 0
     for k in searched:
