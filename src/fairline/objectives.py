@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, or_, sub, truediv
 from typing import Any
 
@@ -157,44 +157,46 @@ def _assembler(spec: ObjectiveSpec, plus: Callable[[Any, Any], Any]) -> Callable
     """Which constituent families `spec` combines, built from per-group statistics.
 
     The returned function takes (totals, averages, spreads, farthest), each
-    holding one entry per group in group order, and returns each family as a
-    list with one entry per group. An entry is either a value at one point
+    a list holding one entry per group in group order, and returns each
+    family as such a list, shared with its input where the family is one
+    statistic. An entry is either a value at one point
     (`constituents`: `plus` is addition) or a column of values along many
     points (`assemble_along`: addition entry by entry). It reads only the
     statistics the objective combines (`ObjectiveSpec._statistics`), so
-    callers may pass empty lists for the rest.
+    callers may pass empty sequences for the rest.
     """
     kind = spec.kind
     if kind == "mtgc" or spec.h == "total":
-        return lambda totals, averages, spreads, farthest: (list(totals),)
+        return lambda totals, averages, spreads, farthest: (totals,)
     if spec.h == "max":
-        return lambda totals, averages, spreads, farthest: (list(farthest),)
+        return lambda totals, averages, spreads, farthest: (farthest,)
     if kind == "iif1":
-        return lambda totals, averages, spreads, farthest: (list(averages), list(spreads))
+        return lambda totals, averages, spreads, farthest: (averages, spreads)
     if kind == "iif2":
         return lambda totals, averages, spreads, farthest: (list(map(plus, averages, spreads)),)
-    return lambda totals, averages, spreads, farthest: (list(averages),)
+    return lambda totals, averages, spreads, farthest: (averages,)
 
 
-def _stats_at(profile: GroupedProfile, need: int, y: float) -> tuple[list[float], ...]:
-    """The per-group statistics flagged in `need` at y, in `stats_along`'s order; empty lists for the rest.
+def _stats_at(profile: GroupedProfile, need: int, y: float) -> tuple[Sequence[float], ...]:
+    """The per-group statistics flagged in `need` at y, in `stats_along`'s order; empty for the rest.
 
     Each is summed or scanned directly over the group's members, and averages
     divide the totals by the group sizes.
     """
     groups = profile.group_locations
-    totals: list[float] = []
-    averages: list[float] = []
-    spreads: list[float] = []
-    farthest: list[float] = []
+    at = repeat(y)
+    totals: Sequence[float] = ()
+    averages: Sequence[float] = ()
+    spreads: Sequence[float] = ()
+    farthest: Sequence[float] = ()
     if need & (_TOTALS | _AVERAGES):
-        totals = [_total(locs, y) for locs in groups]
+        totals = list(map(_total, groups, at))
         if need & _AVERAGES:
             averages = list(map(truediv, totals, profile.group_sizes))
     if need & _SPREADS:
-        spreads = [_spread(locs, y) for locs in groups]
+        spreads = list(map(_spread, groups, at))
     if need & _FARTHEST:
-        farthest = [_farthest(locs, y) for locs in groups]
+        farthest = list(map(_farthest, groups, at))
     return totals, averages, spreads, farthest
 
 
@@ -373,7 +375,7 @@ def eval_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> float:
 
 def eval_outcome(profile: GroupedProfile, spec: ObjectiveSpec, outcome: FacilityOutcome) -> float:
     """Expected objective value over a lottery's support."""
-    return eval_outcomes(profile, (spec,), outcome)[0]
+    return sum(p * eval_point(profile, spec, pt) for pt, p in outcome.support)
 
 
 def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outcome: FacilityOutcome) -> list[float]:
@@ -385,5 +387,8 @@ def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outco
     each objective, whichever others share the pass.
     """
     need = _needs(specs)
-    at = [(p, _stats_at(profile, need, pt)) for pt, p in outcome.support]
-    return [sum(p * combine(spec, _assembler(spec, add)(*stats)) for p, stats in at) for spec in specs]
+    terms = [
+        [p * combine(spec, _assembler(spec, add)(*stats)) for spec in specs]
+        for stats, p in ((_stats_at(profile, need, pt), p) for pt, p in outcome.support)
+    ]
+    return [sum(column) for column in zip(*terms)]

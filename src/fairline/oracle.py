@@ -341,7 +341,8 @@ def _select(
         crossings += _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
         if k < first:
             ahead = len(crossings)
-    lead = [v for _, v in crossings[:ahead] if not math.isinf(v)] + kept[:1]
+    lead = [v for _, v in crossings[:ahead] if not math.isinf(v)] if ahead else []
+    lead += kept[:1]
     if not lead:
         if math.isinf(_constituent_bound(profile)):
             # Past the float maximum an inf candidate is overflow, not alt
@@ -354,11 +355,13 @@ def _select(
         raise ObjectiveOverflowError(
             f"{spec.label} overflows the float range on this instance (a candidate reads inf - inf)"
         )
-    vmin = min(lead[:1] + kept + [v for _, v in crossings if not math.isinf(v)])
+    rest = [v for _, v in crossings if not math.isinf(v)] if crossings else []
+    vmin = min(lead[:1] + kept + rest)
     tied = vmin + _tie_tol(vmin)
     # `v != math.inf`: the tie window itself overflows when vmin nears the float maximum.
     ys = [y for y, v in zip(pts, values) if v <= tied and v != math.inf]
-    ys += [y for y, v in crossings if v <= tied and v != math.inf]
+    if crossings:
+        ys += [y for y, v in crossings if v <= tied and v != math.inf]
     minimizers = _merge_close(sorted(ys))
     location = minimizers[0]
     value = eval_point(profile, spec, location)
