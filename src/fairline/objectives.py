@@ -225,7 +225,8 @@ def _sweep_group(
     """A group's totals at each of the ascending points `ys`, and its spreads if asked.
 
     One pointer walks the members once: `k` members lie strictly left of y,
-    and `left` sums their offsets from the first member. Offsets rather than
+    and `left` sums their offsets from the first member; the terms that
+    depend only on them are updated when the pointer moves. Offsets rather than
     raw locations make the total exactly 0.0 when every member sits at y, and
     keep its rounding relative to the group's extent. A spread uses the same
     pointer for the nearest member. It is split into the cases y <= first,
@@ -247,12 +248,19 @@ def _sweep_group(
     spread_col: list[float] = []
     k = 0
     left = 0.0
+    right = whole  # whole - left
+    up = size  # size - k
+    nxt = first  # locs[k], or inf once every member lies left of y
     for y in ys:
-        while k < size and locs[k] < y:
-            left += locs[k] - first
-            k += 1
+        if nxt < y:
+            while nxt < y:
+                left += nxt - first
+                k += 1
+                nxt = locs[k] if k < size else math.inf
+            right = whole - left
+            up = size - k
         d = y - first
-        totals.append((k * d - left) + ((whole - left) - (size - k) * d))
+        totals.append((k * d - left) + (right - up * d))
         if spreads:
             if y <= first:
                 spread_col.append((last - y) - (first - y))
@@ -260,7 +268,7 @@ def _sweep_group(
                 spread_col.append(d - (y - last))
             else:
                 far = last - y
-                above = locs[k] - y
+                above = nxt - y
                 below = y - locs[k - 1]
                 spread_col.append((far if far > d else d) - (below if below < above else above))
     return totals, spread_col
