@@ -204,17 +204,20 @@ def _interval_floors(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...]
     """
     # Conditional expressions, not min() and max() calls: this runs once per
     # group and interval, and a builtin call costs several times as much.
+    # Each group's smaller (larger) endpoint value s (t) is folded into the
+    # running maximum (minimum) over the groups in the same comprehension.
     highs = []
     lows: list[float] = []
     for family in columns:
-        high: list[float] = []
         # g: one group's constituent at every kink, in order.
-        for i, g in enumerate(family):
-            smaller = [a if a < b else b for a, b in zip(g, g[1:])]
-            high = smaller if i == 0 else [h if h > s else s for h, s in zip(high, smaller)]
+        g = family[0]
+        high = [a if a < b else b for a, b in zip(g, g[1:])]
+        if spec.kind == "alt":
+            lows = [a if a > b else b for a, b in zip(g, g[1:])]
+        for g in family[1:]:
+            high = [h if h > (s := a if a < b else b) else s for h, a, b in zip(high, g, g[1:])]
             if spec.kind == "alt":
-                larger = [a if a > b else b for a, b in zip(g, g[1:])]
-                lows = larger if i == 0 else [x if x < y else y for x, y in zip(lows, larger)]
+                lows = [x if x < (t := a if a > b else b) else t for x, a, b in zip(lows, g, g[1:])]
         highs.append([h - slack for h in high])
     if spec.kind != "alt":
         return list(map(add, *highs)) if spec.kind == "iif1" else highs[0]
