@@ -395,8 +395,8 @@ def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outco
     each objective, whichever others share the pass.
     """
     need = _needs(specs)
-    terms = [
-        [p * combine(spec, _assembler(spec, add)(*stats)) for spec in specs]
-        for stats, p in ((_stats_at(profile, need, pt), p) for pt, p in outcome.support)
-    ]
+    terms = []
+    for pt, p in outcome.support:
+        stats = _stats_at(profile, need, pt)
+        terms.append([p * combine(spec, _assembler(spec, add)(*stats)) for spec in specs])
     return [sum(column) for column in zip(*terms)]
