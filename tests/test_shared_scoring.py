@@ -31,8 +31,7 @@ def test_shared_scoring_matches_one_objective_at_a_time():
         except ValueError as exc:
             # `optima` raises what the first objective to fail raises alone.
             with pytest.raises(type(exc)) as alone:
-                for outcome in outcomes:
-                    [ratio_to(profile, outcome, spec, optimize(profile, spec)) for spec in SPECS]
+                [ratio_to(profile, outcomes[0], spec, optimize(profile, spec)) for spec in SPECS]
             assert str(alone.value) == str(exc), profile.raw()
             failed += 1
             continue
