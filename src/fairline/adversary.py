@@ -11,17 +11,26 @@ so a candidate scored earlier in the restart scored at most the current
 ratio and would be rejected again; such a repeat is skipped after its random
 draws, which leaves every report unchanged. Jitters of the current profile
 are built on one deviation path per agent, kept until the profile changes.
+
+Restarts are independent, so `hill_climb` runs them in forked lanes, one per
+usable CPU, and merges their results in restart order: the report is the
+same for any number of lanes. A black-box rule's side effects in lanes other
+than the caller's are not seen by the caller.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import BinaryIO, Callable, Sequence
 
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import GroupedProfile, build_profile
+from .model import FacilityOutcome, GroupedProfile, build_profile
 from .objectives import ObjectiveSpec
 from .oracle import ratio
 
@@ -123,6 +132,101 @@ def _perturb(
     return paths[i](moved)
 
 
+Rule = Callable[[GroupedProfile], FacilityOutcome]
+# One improvement of a restart's current profile: (global step, ratio, group_locations).
+Improvement = tuple[int, float, tuple[tuple[float, ...], ...]]
+
+
+def _start(config: SearchConfig, seed_profiles: Sequence[GroupedProfile], r: int) -> GroupedProfile:
+    return seed_profiles[r] if r < len(seed_profiles) else random_profile(config, r)
+
+
+def _climb(fn: Rule, spec: ObjectiveSpec, config: SearchConfig, start: GroupedProfile, r: int) -> list[Improvement]:
+    """Restart `r` from `start`: every improvement of its current profile, the start's included, in order.
+
+    Iteration k of the restart is global step r·iterations + k, and the start
+    is step r·iterations. The restart draws only from `_stream(seed, 1, r)`,
+    so what it returns depends on no other restart.
+    """
+    rng = _stream(config.seed, 1, r)
+    first = r * config.iterations
+    current = start
+    current_ratio = ratio(current, fn, spec).ratio
+    improvements = [(first, current_ratio, current.group_locations)]
+    # Profiles are equal exactly when their group_locations are; only those are kept.
+    scored = {current.group_locations}
+    paths: dict[int, Callable[[float], GroupedProfile]] = {}
+    for step in range(first + 1, first + config.iterations + 1):
+        candidate = _perturb(current, rng, config.perturbation_scale, paths)
+        if candidate is None or candidate.group_locations in scored:
+            continue
+        scored.add(candidate.group_locations)
+        candidate_ratio = ratio(candidate, fn, spec).ratio
+        if candidate_ratio > current_ratio:
+            current, current_ratio = candidate, candidate_ratio
+            paths = {}
+            improvements.append((step, current_ratio, current.group_locations))
+    return improvements
+
+
+def _lanes(restarts: int) -> int:
+    """How many processes share a search's restarts: one per usable CPU, at most one per restart.
+
+    One where `os.fork` is missing, and one while another Python thread
+    runs, since forking a threaded process is unsafe.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(restarts, cpus)
+
+
+def _run_lane(
+    fn: Rule,
+    spec: ObjectiveSpec,
+    config: SearchConfig,
+    seed_profiles: Sequence[GroupedProfile],
+    lane: int,
+    lanes: int,
+) -> dict[int, list[Improvement]]:
+    """The restarts r ≡ lane (mod lanes), in order, up to the first that raises."""
+    done: dict[int, list[Improvement]] = {}
+    try:
+        for r in range(lane, config.restarts, lanes):
+            done[r] = _climb(fn, spec, config, _start(config, seed_profiles, r), r)
+    except Exception:
+        pass  # the caller runs this restart again, in restart order, and raises there if it comes first
+    return done
+
+
+def _fork_lane(run: Callable[[], dict[int, list[Improvement]]]) -> tuple[int, BinaryIO]:
+    """A child process that sends `run()`, marshalled, down a pipe: its pid and the pipe's read end.
+
+    The child always ends in `os._exit`, 0 once it has written everything.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(run()))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
 def hill_climb(
     mechanism: MechanismLike,
     spec: ObjectiveSpec,
@@ -140,40 +244,55 @@ def hill_climb(
     restart the current ratio never falls, so the repeat scored at most the
     current ratio and cannot be accepted. This holds because `ratio`, like
     the rule, is taken to be a function of the profile.
+
+    Restarts are independent, so they run in `_lanes(restarts)` lanes:
+    restart r in lane r mod L. Lane 0 is the caller; every other lane is a
+    forked child that sends back its restarts' improvements. They are merged
+    in restart order, so the report is the same for any number of lanes.
+    A restart with no result (its rule raised, or its lane died) runs again
+    in the caller, in restart order, so a raising rule raises what a
+    one-lane search raises. A black-box rule's side effects in lanes other
+    than 0 are not seen by the caller. No child outlives the call.
     """
     fn = as_mechanism_fn(mechanism)
-    best_profile: GroupedProfile | None = None
+    lanes = _lanes(config.restarts)
+    children: list[tuple[int, BinaryIO]] = []
+    payloads: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for lane in range(1, lanes):
+            try:
+                children.append(_fork_lane(partial(_run_lane, fn, spec, config, seed_profiles, lane, lanes)))
+            except OSError:
+                break  # the lanes not started leave their restarts to the caller
+        results = _run_lane(fn, spec, config, seed_profiles, 0, lanes)
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        import signal  # here only, so that importing the package loads no more modules
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        if status == 0:
+            results.update(marshal.loads(payload))
+
+    best_locations: tuple[tuple[float, ...], ...] | None = None
     best_ratio = -1.0
     trace: list[tuple[int, float]] = []
-    step = 0
-    for r_idx in range(config.restarts):
-        if r_idx < len(seed_profiles):
-            current = seed_profiles[r_idx]
-        else:
-            current = random_profile(config, r_idx)
-        rng = _stream(config.seed, 1, r_idx)
-        current_ratio = ratio(current, fn, spec).ratio
-        if current_ratio > best_ratio:
-            best_profile, best_ratio = current, current_ratio
-            trace.append((step, best_ratio))
-        # Profiles are equal exactly when their group_locations are; only those are kept.
-        scored = {current.group_locations}
-        paths: dict[int, Callable[[float], GroupedProfile]] = {}
-        for _ in range(config.iterations):
-            step += 1
-            candidate = _perturb(current, rng, config.perturbation_scale, paths)
-            if candidate is None or candidate.group_locations in scored:
-                continue
-            scored.add(candidate.group_locations)
-            candidate_ratio = ratio(candidate, fn, spec).ratio
-            if candidate_ratio > current_ratio:
-                current, current_ratio = candidate, candidate_ratio
-                paths = {}
-                if candidate_ratio > best_ratio:
-                    best_profile, best_ratio = candidate, candidate_ratio
-                    trace.append((step, best_ratio))
-    assert best_profile is not None
-    return WorstCaseReport(best_profile, best_ratio, tuple(trace))
+    for r in range(config.restarts):
+        if r not in results:
+            results[r] = _climb(fn, spec, config, _start(config, seed_profiles, r), r)
+        for step, value, group_locations in results[r]:
+            if value > best_ratio:
+                best_locations, best_ratio = group_locations, value
+                trace.append((step, value))
+    assert best_locations is not None
+    return WorstCaseReport(GroupedProfile(best_locations), best_ratio, tuple(trace))
 
 
 def bound_conformance(

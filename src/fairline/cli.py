@@ -178,8 +178,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     seeds: tuple[GroupedProfile, ...] = ()
     if args.seed_family == "auto":
         family = tight_family_profile(mechanism, spec, n_range[1])
-        if family is not None:
+        (n_min, n_max), (m_min, m_max) = n_range, config.m_range
+        if family is not None and n_min <= family.n <= n_max and m_min <= family.group_count <= m_max:
             seeds = (family,)
+        elif family is not None:
+            print(
+                f"warning: the tight family has n={family.n}, m={family.group_count}, outside the searched "
+                f"n {n_min}-{n_max}, m {m_min}-{m_max}; no restart starts from it",
+                file=sys.stderr,
+            )
     conformant = None
     if args.bound is not None:
         conformant, report = bound_conformance(mechanism, spec, args.bound, config, seeds)
@@ -319,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", type=float, default=0.15)
     p.add_argument("--bound", type=float, default=None, help="check conformance against a proven upper bound")
     p.add_argument("--seed-family", choices=("auto", "none"), default="auto",
-                   help="seed one restart at the known tight family when recognized")
+                   help="seed one restart at the known tight family when recognized and inside the searched ranges")
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--trace", default=None, help="write a two-column (iteration, best ratio) file")
     p.set_defaults(handler=_cmd_search)

@@ -214,6 +214,32 @@ class TestSearch:
         assert code == 0
         assert json.loads(report_path.read_text())["config"]["m_range"] == [1, 4]
 
+    def test_family_outside_the_searched_ranges_is_not_seeded(self, tmp_path, capsys):
+        # The mgdm-mtgc family has 4 agents in 2 groups, so n = 2 or m = 1 excludes it.
+        for bounds in (["--n", "2"], ["--m-max", "1"]):
+            report_path = tmp_path / "r.json"
+            code = run_cli(
+                ["search", "--mech", "mgdm", "--obj", "mtgc", "--seed", "1", "--restarts", "1",
+                 "--iterations", "5", "--report", str(report_path), *bounds]
+            )
+            assert code == 0
+            payload = json.loads(report_path.read_text())
+            (n_min, n_max), (m_min, m_max) = payload["config"]["n_range"], payload["config"]["m_range"]
+            groups = payload["best_profile"]["groups"]
+            assert n_min <= sum(map(len, groups)) <= n_max and m_min <= len(groups) <= m_max
+            assert payload["best_ratio"] < 3.0 - 1e-9
+            assert "warning: the tight family has n=4, m=2" in capsys.readouterr().err
+
+    def test_family_inside_the_searched_ranges_is_seeded_without_warning(self, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        code = run_cli(
+            ["search", "--mech", "mgdm", "--obj", "mtgc", "--n", "4", "--m-max", "2", "--seed", "1",
+             "--restarts", "1", "--iterations", "5", "--report", str(report_path)]
+        )
+        assert code == 0
+        assert json.loads(report_path.read_text())["best_ratio"] >= 3.0 - 1e-9
+        assert "warning" not in capsys.readouterr().err
+
     def test_single_agent_search_runs(self, tmp_path):
         code = run_cli(
             [
