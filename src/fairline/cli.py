@@ -20,7 +20,7 @@ from .audit import group_sp_audit, sp_audit
 from .fixtures import run_corpus
 from .instances import ParseError, ValidationError, load_instance
 from .mechanisms import _RULES, MechanismId, MechanismLike, as_mechanism_fn, mechanism_label, parse_mechanism
-from .model import GroupedProfile, build_profile
+from .model import GroupedProfile, build_profile, scaled_in_range
 from .objectives import ObjectiveSpec, parse_objective
 from .oracle import optima, optimize, ratio_to, ratios_to
 
@@ -48,12 +48,17 @@ def _num(x: float):
 
 
 def _normalized(profile: GroupedProfile) -> GroupedProfile:
-    """Affine rescale of all locations onto [0, 1]; identity for a single point."""
-    x1, xn = profile.span
+    """Affine rescale of all locations onto [0, 1]; identity for a single point.
+
+    It rescales `scaled_in_range` of the profile, whose span cannot overflow;
+    scaling by a power of two changes no quotient below.
+    """
+    scaled, _ = scaled_in_range(profile)
+    x1, xn = scaled.span
     if xn == x1:
         return profile
     scale = xn - x1
-    raw = [((loc - x1) / scale, grp) for loc, grp in profile.raw()]
+    raw = [((loc - x1) / scale, grp) for loc, grp in scaled.raw()]
     return build_profile(raw, profile.group_count)
 
 

@@ -12,6 +12,7 @@ to share across threads without coordination.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
@@ -149,6 +150,43 @@ class GroupedProfile:
             return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes, meds)
 
         return deviated
+
+
+# Every objective is built from distances between agents and the facility,
+# each at most 2·max|x| on a profile whose coordinates and facility lie in
+# [-max|x|, max|x|]. Every total, offset sum, gap, crossing difference and tie
+# window the package forms is then below 4·n·max|x|, so 16·n·max|x| at most
+# the float maximum leaves a factor of 4 to spare and no sum overflows.
+_IN_RANGE = sys.float_info.max / 16.0
+
+
+def scaled_in_range(profile: GroupedProfile, y: float = 0.0) -> tuple[GroupedProfile, int]:
+    """`profile` times 2^-k and k, for the least k >= 0 with 16·n·max(|x_1|, |x_n|, |y|) <= the float maximum.
+
+    Rounding at that bound may give one more. k is 0, and `profile` comes
+    back as it is, unless a coordinate (or the point `y`) lies within a
+    factor of 16·n of the float maximum. Every objective is positively
+    homogeneous, of degree 1 or, for alt form "b"'s ratio, 0, and scaling by
+    a power of two is exact in floats away from subnormals, so work done on
+    the scaled profile, at y times 2^-k, scaled back by 2^k, is the work done
+    on `profile` without its overflow.
+    """
+    locs = profile.locations
+    n = len(locs)
+    # Comparisons rather than a max() call: `eval_point` takes this path at
+    # every point it evaluates.
+    bound = _IN_RANGE / n
+    if -bound <= locs[0] and locs[-1] <= bound and -bound <= y <= bound:
+        return profile, 0
+    if not math.isfinite(y):
+        return profile, 0  # no scaling moves a point at an infinity, or NaN, into range
+    top = max(-locs[0], locs[-1], abs(y))
+    # n·top >= 2^(e + b - 2) for top in [2^(e-1), 2^e) and n of b bits, and
+    # _IN_RANGE < 2^1020: no k below e + b - 1021 can do.
+    k = max(math.frexp(top)[1] + n.bit_length() - 1021, 1)
+    while n * math.ldexp(top, -k) > _IN_RANGE:
+        k += 1
+    return GroupedProfile(tuple(tuple(math.ldexp(x, -k) for x in g) for g in profile.group_locations)), k
 
 
 def _merge_close(sorted_points: Iterable[float]) -> list[float]:

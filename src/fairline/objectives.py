@@ -37,7 +37,7 @@ from itertools import chain, repeat
 from operator import add, or_, sub, truediv
 from typing import Any
 
-from .model import FacilityOutcome, GroupedProfile
+from .model import FacilityOutcome, GroupedProfile, scaled_in_range
 
 _KINDS = ("mtgc", "magc", "iif1", "iif2", "alt")
 _FORMS = ("a", "b")
@@ -219,9 +219,7 @@ def constituents(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> tupl
     return _assembler(spec, add)(*_stats_at(profile, spec._statistics, y))
 
 
-def _sweep_group(
-    locs: tuple[float, ...], ys: Sequence[float], reach: float, spreads: bool
-) -> tuple[list[float], list[float]]:
+def _sweep_group(locs: tuple[float, ...], ys: Sequence[float], spreads: bool) -> tuple[list[float], list[float]]:
     """A group's totals at each of the ascending points `ys`, and its spreads if asked.
 
     One pointer walks the members once: `k` members lie strictly left of y,
@@ -232,18 +230,14 @@ def _sweep_group(
     pointer for the nearest member. It is split into the cases y <= first,
     y >= last and interior, where the sign of every offset is known, so it
     needs no max, min or abs call; fl(a - b) = -fl(b - a) keeps each case
-    bit-identical to `_spread`.
+    bit-identical to `_spread`. Every running value stays in the float range
+    on a profile that `model.scaled_in_range` leaves as it is.
     """
     first, last = locs[0], locs[-1]
     size = len(locs)
     whole = 0.0
     for x in locs:  # the same additions as `left`, so left == whole once k == size
         whole += x - first
-    # Every running value is at most `whole` or size times `reach`, the
-    # extent of the profile and the points. Past the float maximum the offset
-    # sums overflow where the totals need not, so the group is summed directly.
-    if math.isinf(whole) or math.isinf(size * reach):
-        return [_total(locs, y) for y in ys], [_spread(locs, y) for y in ys] if spreads else []
     totals: list[float] = []
     spread_col: list[float] = []
     k = 0
@@ -308,9 +302,7 @@ def stats_along(profile: GroupedProfile, ys: Sequence[float], specs: Iterable[Ob
     if need & _FARTHEST:
         farthest = [[_farthest(locs, y) for y in ys] for locs in groups]
     if need & (_TOTALS | _AVERAGES | _SPREADS):
-        x1, xn = profile.span
-        reach = max(xn, ys[-1]) - min(x1, ys[0]) if ys else 0.0
-        swept = [_sweep_group(locs, ys, reach, need & _SPREADS != 0) for locs in groups]
+        swept = [_sweep_group(locs, ys, need & _SPREADS != 0) for locs in groups]
         if need & _TOTALS:
             totals = [col for col, _ in swept]
         if need & _AVERAGES:
@@ -376,9 +368,25 @@ def eval_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> float:
     """Objective value at a deterministic facility point.
 
     Returns +inf only for alt form "b" when some group sits exactly at y while
-    another does not; the 0/0 case (every group at y) evaluates to 1.
+    another does not; the 0/0 case (every group at y) evaluates to 1. Near
+    the float maximum it is taken on `model.scaled_in_range` of the profile
+    and y, and reads inf only where the value itself exceeds the float
+    maximum.
     """
+    scaled, k = scaled_in_range(profile, y)
+    if k:
+        return unscaled(spec, eval_point(scaled, spec, math.ldexp(y, -k)), k)
     return combine(spec, constituents(profile, spec, y))
+
+
+def unscaled(spec: ObjectiveSpec, value: float, k: int) -> float:
+    """The objective's `value` on a profile scaled by 2^-k, read on the profile itself.
+
+    Every objective but alt form "b" scales with the coordinates, so its
+    value is multiplied by 2^k, inf where that exceeds the float maximum;
+    alt form "b", a ratio, does not change.
+    """
+    return value if spec.form == "b" else value * 2.0**k
 
 
 def eval_outcome(profile: GroupedProfile, spec: ObjectiveSpec, outcome: FacilityOutcome) -> float:
@@ -392,11 +400,13 @@ def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outco
     Each support point's per-group statistics are taken once, for every
     objective that reads them, and each objective combines its own families
     from them. The expectation adds the same products in the same order for
-    each objective, whichever others share the pass.
+    each objective, whichever others share the pass. Each point is scaled
+    as `eval_point` scales it.
     """
     need = _needs(specs)
     terms = []
     for pt, p in outcome.support:
-        stats = _stats_at(profile, need, pt)
-        terms.append([p * combine(spec, _assembler(spec, add)(*stats)) for spec in specs])
+        scaled, k = scaled_in_range(profile, pt)
+        stats = _stats_at(scaled, need, math.ldexp(pt, -k))
+        terms.append([p * unscaled(spec, combine(spec, _assembler(spec, add)(*stats)), k) for spec in specs])
     return [sum(column) for column in zip(*terms)]

@@ -53,8 +53,17 @@ several objectives from one statistics pass per support point
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
 linear piece of the quotient is monotone between candidates, so the same
-candidate set stays exact; candidates where the objective is +inf are skipped
-unless no finite candidate exists.
+candidate set stays exact; a candidate where the objective is +inf is never a
+minimizer, and when every candidate is, the objective is unbounded.
+
+Near the float maximum, sums of distances overflow where the optimum need
+not. Every objective is positively homogeneous (alt form "b", a ratio, of
+degree 0), and scaling by a power of two is exact in floats, so `optima`
+works on `model.scaled_in_range` of the profile, where no sum overflows, and
+scales its results back; `breakpoints`, `eval_point` and the rule's side of
+a ratio do the same. That is the one overflow rule: the search itself never
+meets inf - inf, and an optimum whose value exceeds the float maximum raises
+ObjectiveOverflowError.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .mechanisms import MechanismLike, as_mechanism_fn
-from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close
+from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close, scaled_in_range
 from .objectives import (
     GroupStats,
     ObjectiveSpec,
@@ -77,6 +86,7 @@ from .objectives import (
     eval_outcomes,
     eval_point,
     stats_along,
+    unscaled,
 )
 
 # A constituent line interpolated in floats, va + t·(vb − va) with t in
@@ -84,9 +94,9 @@ from .objectives import (
 # On the span a group's total is at most its size times the span and any
 # other constituent at most twice the span, so 2·n·span bounds every rounded
 # constituent. The interval floor widens its bounds by this factor times
-# 2·n·span, which also covers the rounding of the widening itself. When
-# 2·n·span overflows the slack is inf and no interval is cut: a constituent
-# may overflow too, and no floor bounds an interpolated inf - inf.
+# 2·n·span, which also covers the rounding of the widening itself. The
+# search runs on profiles that `scaled_in_range` leaves as they are, where
+# 2·n·span and every constituent are finite.
 _FLOOR_SLACK = 8.0 * sys.float_info.epsilon
 
 # Objectives that are convex in the facility location: max of convex totals.
@@ -98,12 +108,10 @@ class UnboundedObjectiveError(ValueError):
 
 
 class ObjectiveOverflowError(ValueError):
-    """The objective's candidate values leave the float range, so no optimum can be told.
+    """The objective's optimum value exceeds the float maximum.
 
-    Raised when the least candidate value is NaN, since past the float
-    maximum a constituent reads inf - inf, and, while 2·n·span overflows,
-    when every candidate is +inf or the value re-evaluated at the minimizer
-    is inf or NaN.
+    Raised only when the optimum, found on the profile scaled by a power of
+    two (`scaled_in_range`), reads inf once scaled back.
     """
 
 
@@ -141,21 +149,17 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
       consecutive midpoints;
     - the distance to its farthest member (alt h="max", and the max part of
       the iif spread) kinks only at its members and its extreme midpoint.
+
+    Near the float maximum the grid is taken on `scaled_in_range` of the
+    profile, where no midpoint's sum overflows, and scaled back.
     """
-    pts = set(profile.locations)
-    for locs in profile.group_locations:
+    scaled, k = scaled_in_range(profile)
+    pts = set(scaled.locations)
+    for locs in scaled.group_locations:
         pts.update((a + b) / 2.0 for a, b in zip(locs, locs[1:]))
         pts.add((locs[0] + locs[-1]) / 2.0)
-    if math.inf in pts or -math.inf in pts:
-        # Past the float maximum a + b overflows where a/2 + b/2 cannot, as in
-        # `mechanisms._three_point`. No agent sits at an infinity, so each one
-        # here is such a midpoint; checking the set once keeps the loop above
-        # free of the test.
-        pts = {p for p in pts if not math.isinf(p)}
-        for locs in profile.group_locations:
-            pairs = [*zip(locs, locs[1:]), (locs[0], locs[-1])]
-            pts.update(a / 2.0 + b / 2.0 for a, b in pairs if math.isinf((a + b) / 2.0))
-    return tuple(_merge_close(sorted(pts)))
+    grid = _merge_close(sorted(pts))
+    return tuple(p * 2.0**k for p in grid) if k else tuple(grid)
 
 
 def _crossing_candidates(
@@ -232,12 +236,6 @@ def _row(columns: tuple[list[list[float]], ...], k: int) -> tuple[list[float], .
     return tuple([column[k] for column in family] for family in columns)
 
 
-def _constituent_bound(profile: GroupedProfile) -> float:
-    """2·n·span, which bounds every constituent on the span; inf when it overflows."""
-    x1, xn = profile.span
-    return 2.0 * profile.n * (xn - x1)
-
-
 def _tie_tol(value: float) -> float:
     """How far above the optimum `value` a candidate still counts as tied with it.
 
@@ -276,23 +274,24 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     O(n·m^2) at worst for n agents in m groups. It is the leftmost
     minimizer, with its value re-evaluated by `eval_point`; `minimizers`
     lists every evaluated candidate tied with the optimum up to rounding
-    noise (`_tie_tol`). Raises the first error any objective raises:
+    noise (`_tie_tol`). Near the float maximum it works on
+    `scaled_in_range` of the profile and scales every result back (see the
+    module docstring). Raises the first error any objective raises:
     UnboundedObjectiveError when every candidate is +inf, and
-    ObjectiveOverflowError when the least candidate value is NaN, or when
-    every candidate is +inf or the value at the minimizer is not finite
-    while 2·n·span overflows; only coordinates near the float maximum bring
-    an ObjectiveOverflowError about.
+    ObjectiveOverflowError when the optimum value exceeds the float maximum.
     """
+    scaled, k = scaled_in_range(profile)
     sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
     results = []
     for spec in specs:
         convex = spec.kind in _CONVEX
         if convex not in sweeps:
-            pts = _kinks(profile, spec)
+            pts = _kinks(scaled, spec)
             sharing = [s for s in specs if (s.kind in _CONVEX) == convex]
-            sweeps[convex] = pts, stats_along(profile, pts, sharing)
+            sweeps[convex] = pts, stats_along(scaled, pts, sharing)
         pts, stats = sweeps[convex]
-        results.append(_select(profile, spec, pts, assemble_along(spec, stats)))
+        result = _select(scaled, spec, pts, assemble_along(spec, stats))
+        results.append(_scaled_back(spec, result, k) if k else result)
     return tuple(results)
 
 
@@ -308,10 +307,14 @@ def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
 def _select(
     profile: GroupedProfile, spec: ObjectiveSpec, pts: Sequence[float], columns: tuple[list[list[float]], ...]
 ) -> OptimalResult:
-    """One optimum's search and selection, given the families at every kink `pts` as columns."""
+    """One optimum's search and selection, given the families at every kink `pts` as columns.
+
+    `profile` lies in the float range (`scaled_in_range` leaves it as it is),
+    so no candidate reads NaN, and only alt form "b"'s positive statistic over
+    0 reads +inf.
+    """
     values = combine_along(spec, columns)
-    kept = [v for v in values if not math.isinf(v)]
-    best = min(kept, default=math.inf)
+    best = min(values)
     cut = best + _tie_tol(best)
     searched: Sequence[int]
     if spec.kind in _CONVEX:
@@ -324,57 +327,40 @@ def _select(
         while hi < len(values) - 1 and values[hi + 1] <= cut:
             hi += 1
         searched = range(max(lo - 1, 0), min(hi + 1, len(pts) - 1))
-        # Every kink is a candidate before any crossing.
-        first = 0 if kept else len(values)
     else:
         # No crossing in an interval whose floor exceeds the best kink's tie
-        # window can be a minimizer. A NaN floor (inf slack) is searched.
-        slack = _FLOOR_SLACK * _constituent_bound(profile)
+        # window can be a minimizer.
+        x1, xn = profile.span
+        slack = _FLOOR_SLACK * (2.0 * profile.n * (xn - x1))
         searched = [k for k, floor in enumerate(_interval_floors(spec, columns, slack)) if not floor > cut]
-        # The candidates lie in line order: kink k, then interval k's crossings.
-        first = values.index(kept[0]) if kept else len(values)
-
-    # Past the float maximum a candidate may read inf - inf. The optimum
-    # overflows when the first candidate that is not inf reads NaN, as min()
-    # over the candidates in the order above would: the crossings of the
-    # intervals left of kink `first`, the first kink not inf, come before it.
     crossings: list[tuple[float, float]] = []
-    ahead = 0
     for k in searched:
         crossings += _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
-        if k < first:
-            ahead = len(crossings)
-    lead = [v for _, v in crossings[:ahead] if not math.isinf(v)] if ahead else []
-    lead += kept[:1]
-    if not lead:
-        if math.isinf(_constituent_bound(profile)):
-            # Past the float maximum an inf candidate is overflow, not alt
-            # form "b"'s positive statistic over 0.
-            raise ObjectiveOverflowError(
-                f"{spec.label} overflows the float range on this instance (every candidate reads inf)"
-            )
+    vmin = min([best] + [v for _, v in crossings])
+    if vmin == math.inf:
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")
-    if math.isnan(lead[0]):
-        raise ObjectiveOverflowError(
-            f"{spec.label} overflows the float range on this instance (a candidate reads inf - inf)"
-        )
-    rest = [v for _, v in crossings if not math.isinf(v)] if crossings else []
-    vmin = min(lead[:1] + kept + rest)
     tied = vmin + _tie_tol(vmin)
-    # `v != math.inf`: the tie window itself overflows when vmin nears the float maximum.
-    ys = [y for y, v in zip(pts, values) if v <= tied and v != math.inf]
+    ys = [y for y, v in zip(pts, values) if v <= tied]
     if crossings:
-        ys += [y for y, v in crossings if v <= tied and v != math.inf]
+        ys += [y for y, v in crossings if v <= tied]
     minimizers = _merge_close(sorted(ys))
     location = minimizers[0]
-    value = eval_point(profile, spec, location)
-    if not math.isfinite(value) and math.isinf(_constituent_bound(profile)):
-        # The minimizer's swept value is finite, and a direct sum there
-        # overflows: no optimum can be told.
+    return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))
+
+
+def _scaled_back(spec: ObjectiveSpec, result: OptimalResult, k: int) -> OptimalResult:
+    """`result`, an optimum on the profile scaled by 2^-k, read on the profile itself.
+
+    Raises ObjectiveOverflowError when the optimum value exceeds the float
+    maximum.
+    """
+    value = unscaled(spec, result.value, k)
+    if math.isinf(value):
         raise ObjectiveOverflowError(
-            f"{spec.label} overflows the float range on this instance (its value at {location!r} reads {value})"
+            f"{spec.label} overflows the float range on this instance (its optimum exceeds the float maximum)"
         )
-    return OptimalResult(location, value, tuple(minimizers))
+    unit = 2.0**k
+    return OptimalResult(result.location * unit, value, tuple(y * unit for y in result.minimizers))
 
 
 def ratio(profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec) -> RatioReport:
@@ -389,9 +375,11 @@ def ratio_to(
     """`ratio` of a rule's `outcome` against `optimal`, an already computed `optimize(profile, spec)`.
 
     Lets a caller that scores several rules on several objectives apply each
-    rule and compute each optimum once.
+    rule and compute each optimum once. Near the float maximum the rule is
+    scored on `scaled_in_range` of the profile (`_report`).
     """
-    return _report(eval_outcome(profile, spec, outcome), optimal)
+    scaled, k = scaled_in_range(profile)
+    return _report(spec, eval_outcome(scaled, spec, _shrunk(outcome, k)), optimal, k)
 
 
 def ratios_to(
@@ -406,13 +394,26 @@ def ratios_to(
     support point (`eval_outcomes`), and each report is bit-identical to
     `ratio_to`'s.
     """
-    return tuple(map(_report, eval_outcomes(profile, specs, outcome), optima))
+    scaled, k = scaled_in_range(profile)
+    values = eval_outcomes(scaled, specs, _shrunk(outcome, k))
+    return tuple(_report(spec, value, optimal, k) for spec, value, optimal in zip(specs, values, optima))
 
 
-def _report(value: float, optimal: OptimalResult) -> RatioReport:
-    """The rule's `value` against `optimal`, with the zero-optimum convention."""
-    if optimal.value == 0.0:
+def _shrunk(outcome: FacilityOutcome, k: int) -> FacilityOutcome:
+    """`outcome` with every point times 2^-k."""
+    return FacilityOutcome.lottery((math.ldexp(pt, -k), p) for pt, p in outcome.support) if k else outcome
+
+
+def _report(spec: ObjectiveSpec, value: float, optimal: OptimalResult, k: int) -> RatioReport:
+    """The rule's `value` on the profile scaled by 2^-k against `optimal`, with the zero-optimum convention.
+
+    The quotient is taken on the scaled values, so it stays finite where the
+    rule's value on the profile itself, `mechanism_value`, exceeds the float
+    maximum and reads inf.
+    """
+    best = unscaled(spec, optimal.value, -k)
+    if best == 0.0:
         rho = 1.0 if value == 0.0 else math.inf
     else:
-        rho = value / optimal.value
-    return RatioReport(mechanism_value=value, optimal=optimal, ratio=rho)
+        rho = value / best
+    return RatioReport(mechanism_value=unscaled(spec, value, k), optimal=optimal, ratio=rho)

@@ -72,6 +72,18 @@ class TestEval:
         assert payload["support"] == [[0.0, 1.0]]
         assert payload["optimal_value"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_normalize_a_span_past_the_float_range(self, tmp_path, capsys):
+        # The span, 3.4e308, overflows; the profile scaled by a power of two
+        # normalizes exactly.
+        path = tmp_path / "wide.json"
+        path.write_text('{"schema_version":1,"groups":[[-1.7e308,0.0],[1.7e308]]}')
+        assert cli._normalized(load_instance(path).profile).locations == (0.0, 0.5, 1.0)
+        code = run_cli(["eval", str(path), "--mech", "mdm", "--obj", "mtgc", "--json", "--normalize"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["support"] == [[0.5, 1.0]]
+        assert (payload["optimal_location"], payload["optimal_value"], payload["ratio"]) == (0.5, 0.5, 1.0)
+
     def test_human_readable_table(self, capsys):
         code = run_cli(["eval", str(TIGHT), "--mech", "mgdm", "--obj", "mtgc"])
         assert code == 0
@@ -399,13 +411,11 @@ class TestSweep:
         assert all(line.startswith("warning: skipping mog:2 on ") for line in warnings)
 
     def test_instance_whose_optimum_overflows_prints_no_rows(self, tmp_path, capsys):
-        # b_overflow's mtgc optimum is finite and its iif1 optimum overflows
-        # (its direct sum at the minimizer reads inf): its optima are taken
-        # before its first row, so it prints none.
+        # b_overflow's mtgc optimum is finite, 1.7e308 at 0, and its iif1
+        # optimum exceeds the float maximum: its optima are taken before its
+        # first row, so it prints none.
         (tmp_path / "a_good.json").write_text('{"schema_version": 1, "groups": [[0.0], [1.0]]}')
-        (tmp_path / "b_overflow.json").write_text(
-            '{"schema_version": 1, "groups": [[-4.145137842670136e307], [0.0], [-8.308694924264462e299], [1.7e308]]}'
-        )
+        (tmp_path / "b_overflow.json").write_text('{"schema_version": 1, "groups": [[-1.7e308, 0.0], [1.7e308]]}')
         code = run_cli(["sweep", str(tmp_path), "--mech", "mdm", "--obj", "mtgc,iif1"])
         captured = capsys.readouterr()
         assert code == 2

@@ -24,10 +24,9 @@ import pytest
 
 from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAGC, MAIN_OBJECTIVES, MTGC, build_profile, optima, optimize
 from fairline import oracle
-from fairline.model import _merge_close
+from fairline.model import _merge_close, scaled_in_range
 from fairline.objectives import combine, eval_point
 from fairline.oracle import (
-    ObjectiveOverflowError,
     OptimalResult,
     UnboundedObjectiveError,
     _crossing_candidates,
@@ -37,6 +36,7 @@ from fairline.oracle import (
     breakpoints,
 )
 from test_kink_grid import _random_profile
+from test_oracle import scaled_back
 from test_swept_oracle import NEAR_FLOAT_MAX, _profiles, columns_of, rows
 
 SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
@@ -69,15 +69,9 @@ def _optimum(profile, spec, candidates) -> OptimalResult:
     if not finite:
         raise UnboundedObjectiveError(spec.label)
     vmin = min(v for _, v in finite)
-    if math.isnan(vmin):
-        raise ObjectiveOverflowError(spec.label)
     tied = vmin + _tie_tol(vmin)
     minimizers = _merge_close(sorted(y for y, v in finite if v <= tied))
-    value = eval_point(profile, spec, minimizers[0])
-    x1, xn = profile.span
-    if not math.isfinite(value) and math.isinf(2.0 * profile.n * (xn - x1)):
-        raise ObjectiveOverflowError(spec.label)
-    return OptimalResult(minimizers[0], value, tuple(minimizers))
+    return OptimalResult(minimizers[0], eval_point(profile, spec, minimizers[0]), tuple(minimizers))
 
 
 def _outcome(optimizer, profile, spec):
@@ -90,7 +84,9 @@ def _outcome(optimizer, profile, spec):
 
 
 def _assert_same_optimum(profile, spec, context):
-    want = _outcome(every_interval_optimum, profile, spec)
+    # The reference searches the profile as `optimize` scales it.
+    scaled, k = scaled_in_range(profile)
+    want = scaled_back(_outcome(every_interval_optimum, scaled, spec), spec, k)
     assert _outcome(optimize, profile, spec) == want, (context, spec.label, profile.raw())
 
 
@@ -110,29 +106,24 @@ def test_cut_matches_every_interval_search(scale):
             _assert_same_optimum(profile, spec, (k, scale))
 
 
-# Profiles past the float range, where the cut must search every interval:
-# an interval floor bounds no crossing whose constituents read inf - inf.
-# Cutting intervals changed the first one's iif2 optimum, whose span
-# overflows, and the second one's alt-a-average optimum, whose group totals
-# overflow.
+# Profiles whose span or group totals pass the float maximum. `optimize`,
+# and so the cut, works on them scaled by a power of two, where no sum
+# overflows.
 OVERFLOWING = [
     [(-4.145137842670136e307, 1), (0.0, 2), (-8.308694924264462e299, 3), (1.7e308, 4)],
     [(1.5e308, 1), (0.0, 2), (1.5e308, 3), (1e308, 2), (1.7e308, 1), (1.5e308, 1)],
 ]
 
 
-# Every agent at one point, where `breakpoints` reads the midpoint of that
-# point and itself as -inf.
+# Every agent at one point near the float maximum, where the sum of that
+# point and itself overflows.
 ZERO_SPAN = [[(-1e308, 1)], [(-1.7e308, 1), (-1.7e308, 2)]]
 
 
 @pytest.mark.parametrize("raw", [raw for raw, _ in NEAR_FLOAT_MAX] + OVERFLOWING + ZERO_SPAN)
 def test_cut_matches_every_interval_search_near_float_max(raw):
-    # mtgc and magc are left out on OVERFLOWING: there a crossing on an
-    # interval far from their optimum reads inf - inf, so a search of every
-    # interval raises ObjectiveOverflowError where `optimize` need not.
     profile = build_profile(raw, max(g for _, g in raw))
-    for spec in NON_CONVEX if raw in OVERFLOWING else SPECS:
+    for spec in SPECS:
         _assert_same_optimum(profile, spec, raw)
 
 

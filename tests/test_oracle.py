@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from fairline import (
@@ -30,7 +30,8 @@ from fairline import (
     parse_mechanism,
     ratio,
 )
-from fairline.oracle import UnboundedObjectiveError
+from fairline.model import scaled_in_range
+from fairline.oracle import UnboundedObjectiveError, ratio_to, ratios_to
 from fairline.families import (
     group_median_family,
     single_group_two_clusters,
@@ -116,46 +117,121 @@ class TestOptimize:
             assert opt.location == 3.0 and opt.value == 0.0
 
 
+def optimize_outcome(profile, spec):
+    """`optimize` as (location, value, minimizers), or the type of the error it raises."""
+    try:
+        got = optimize(profile, spec)
+    except (ObjectiveOverflowError, UnboundedObjectiveError) as exc:
+        return type(exc)
+    return got.location, got.value, got.minimizers
+
+
+def times_power_of_two(profile, k):
+    """`profile` with every location times 2^k."""
+    return build_profile([(math.ldexp(x, k), g) for x, g in profile.raw()], profile.group_count)
+
+
+def scaled_back(outcome, spec, k):
+    """An `optimize_outcome` of `spec` on a profile times 2^-k, read on the profile itself.
+
+    Locations scale by 2^k, and so does every value but alt form "b"'s; a
+    value past the float maximum is ObjectiveOverflowError. An error type
+    comes back as it is.
+    """
+    if not isinstance(outcome, tuple):
+        return outcome
+    location, value, minimizers = outcome
+    value = value if spec.form == "b" else value * 2.0**k
+    if math.isinf(value):
+        return ObjectiveOverflowError
+    return location * 2.0**k, value, tuple(y * 2.0**k for y in minimizers)
+
+
+def scaled_reference(profile, spec):
+    """`optimize_outcome` of `profile` scaled by 2^-1000, scaled back.
+
+    Scaling by 2^-1000 is exact on coordinates near the float maximum, and
+    leaves every sum `optimize` forms far inside the float range.
+    """
+    return scaled_back(optimize_outcome(times_power_of_two(profile, -1000), spec), spec, 1000)
+
+
 class TestOverflow:
-    # inf - inf reaches the first candidate: its value is NaN.
+    # iif1's optimum here, 2.55e308 on the profile scaled by 2^-1000 and
+    # scaled back, exceeds the float maximum.
     FOUND = [(-1.7e308, 1), (1.7e308, 2), (0.0, 1)]
     VALUES = (-1.7e308, -1e308, -9e307, 0.0, 1e308, 1.5e308, 1.7e308)
+    # Singleton groups, so mtgc, magc, iif1 and iif2 are one objective here,
+    # and so are the three alt objectives of each form.
+    SINGLETONS = [(-4.145137842670136e307, 1), (0.0, 2), (-8.308694924264462e299, 3), (1.7e308, 4)]
 
-    def test_nan_optimum_raises_a_named_error(self):
+    def test_scaling_is_by_the_least_power_of_two_in_range(self):
+        small = build_profile([(-3.0, 1), (5.0, 2)], 2)
+        assert scaled_in_range(small) == (small, 0)
+        # 16 * 2 * 1e308 is 2e308 over 2^4, past the float maximum, and 1e308 over 2^5.
+        assert scaled_in_range(small, 1e308)[1] == 5
+        for raw in (self.FOUND, self.SINGLETONS, [(1e308, 1), (1.5e308, 1), (1.2e308, 2)]):
+            profile = build_profile(raw, max(g for _, g in raw))
+            scaled, k = scaled_in_range(profile)
+            top = max(-profile.span[0], profile.span[1])
+            assert 16 * profile.n * math.ldexp(top, -k) <= sys.float_info.max
+            assert 16 * profile.n * math.ldexp(top, 1 - k) > sys.float_info.max
+            assert scaled.raw() == [(math.ldexp(x, -k), g) for x, g in profile.raw()]
+
+    def test_points_at_an_infinity_or_nan_are_not_scaled(self):
+        # No power of two brings such a point into range; it reads what it
+        # reads on the profile itself.
+        for raw in ([(0.0, 1), (1.0, 2)], [(-1.7e308, 1), (1.7e308, 2)]):
+            profile = build_profile(raw, 2)
+            for y in (math.inf, -math.inf, math.nan):
+                assert scaled_in_range(profile, y) == (profile, 0)
+            assert eval_point(profile, MTGC, math.inf) == math.inf
+            assert math.isnan(eval_point(profile, MTGC, math.nan))
+
+    def test_optimum_past_the_float_maximum_raises_a_named_error(self):
         profile = build_profile(self.FOUND, 2)
         with pytest.raises(ObjectiveOverflowError, match="iif1 overflows the float range"):
             optimize(profile, IIF1)
+        assert scaled_reference(profile, IIF1) is ObjectiveOverflowError
         assert issubclass(ObjectiveOverflowError, ValueError)
 
-    def test_every_candidate_inf_past_the_float_range_is_overflow(self):
-        # Each group's totals read inf at both agents; that is overflow, not
-        # alt form "b"'s positive statistic over 0.
+    def test_totals_past_the_float_maximum_are_taken_on_the_scaled_profile(self):
+        # Each group's totals read inf at both agents on the profile itself;
+        # on the profile scaled by a power of two they do not.
         profile = build_profile([(-1.7e308, 1), (1.7e308, 2)], 2)
         for spec in (MTGC, MAGC):
-            with pytest.raises(ObjectiveOverflowError, match=f"{spec.label} overflows the float range"):
-                optimize(profile, spec)
+            assert optimize_outcome(profile, spec) == (0.0, 1.7e308, (0.0,)), spec.label
 
     def test_midpoints_past_the_float_range_halve_each_end(self):
         # (a + b) / 2 overflows on each of these pairs, a singleton group's
-        # agent with itself included; a/2 + b/2 does not.
+        # agent with itself included. On the profile scaled by a power of two
+        # it does not, and it is a/2 + b/2 once scaled back.
         profile = build_profile([(1e308, 1), (1.5e308, 1), (1.2e308, 2)], 2)
         assert breakpoints(profile) == (1e308, 1.2e308, 1.25e308, 1.5e308)
         profile = build_profile([(-1.7e308, 1), (-1.6e308, 1), (1.7e308, 2)], 2)
         assert breakpoints(profile) == (-1.7e308, -1.7e308 / 2 + -1.6e308 / 2, -1.6e308, 1.7e308)
 
-    def test_infinite_optimum_raises_a_named_error(self):
-        # Every listed minimizer's swept value is finite, but the direct sum
-        # at the first one overflows, and so does 2·n·span.
-        profile = build_profile(
-            [(-4.145137842670136e307, 1), (0.0, 2), (-8.308694924264462e299, 3), (1.7e308, 4)], 4
-        )
-        for spec in (IIF1,) + ALT_OBJECTIVES:
-            with pytest.raises(ObjectiveOverflowError, match=f"{spec.label} overflows the float range"):
-                optimize(profile, spec)
-        for spec in (MTGC, MAGC, IIF2):
-            assert math.isfinite(optimize(profile, spec).value)
+    def test_optima_whose_sums_pass_the_float_maximum_are_exact(self):
+        # The span and the direct sums at the minimizers overflow; every
+        # optimum is finite.
+        profile = build_profile(self.SINGLETONS, 4)
+        gap = (6.427431078664932e307, 4.145137842670135e307, (6.427431078664932e307, 8.499999958456525e307, 8.5e307))
+        expected = {
+            "mtgc": (6.427431078664932e307, 1.0572568921335067e308, (6.427431078664932e307,)),
+            "magc": (6.427431078664932e307, 1.0572568921335067e308, (6.427431078664932e307,)),
+            "iif1": (6.427431078664932e307, 1.0572568921335067e308, (6.427431078664932e307,)),
+            "iif2": (6.427431078664932e307, 1.0572568921335067e308, (6.427431078664932e307,)),
+            "alt-a-total": gap,
+            "alt-a-average": gap,
+            "alt-a-max": gap,
+            "alt-b-total": (8.5e307, 1.4876632756082515, (8.5e307,)),
+            "alt-b-average": (8.5e307, 1.4876632756082515, (8.5e307,)),
+            "alt-b-max": (8.5e307, 1.4876632756082515, (8.5e307,)),
+        }
+        for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+            assert optimize_outcome(profile, spec) == expected[spec.label] == scaled_reference(profile, spec)
 
-    def test_two_group_profiles_past_the_float_range_fail_only_by_name(self):
+    def test_two_group_profiles_past_the_float_range_match_the_scaled_profile(self):
         # Every two-group profile of 2-4 agents on these coordinates, for
         # every objective: 16,344 of these calls once raised a bare IndexError.
         overflows = 0
@@ -164,13 +240,35 @@ class TestOverflow:
             for locs in itertools.product(self.VALUES, repeat=n):
                 profile = build_profile(list(zip(locs, labels)), 2)
                 for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
-                    try:
-                        optimize(profile, spec)
-                    except ObjectiveOverflowError:
-                        overflows += 1
-                    except UnboundedObjectiveError:
-                        pass
-        assert overflows > 10_000
+                    got = optimize_outcome(profile, spec)
+                    assert got == scaled_reference(profile, spec), (profile.raw(), spec.label)
+                    overflows += got is ObjectiveOverflowError
+        assert overflows == 3_458
+
+    def test_ratios_past_the_float_range_match_the_scaled_profile(self):
+        # Each ratio is taken on the scaled values, so it stays finite where
+        # the rule's own value exceeds the float maximum; that value reads inf.
+        finite_over_inf = 0
+        for n in (2, 3):
+            labels = [1, 2, 1][:n]
+            for locs in itertools.product(self.VALUES, repeat=n):
+                profile = build_profile(list(zip(locs, labels)), 2)
+                scaled = times_power_of_two(profile, -1000)
+                specs = [s for s in MAIN_OBJECTIVES + ALT_OBJECTIVES if isinstance(optimize_outcome(profile, s), tuple)]
+                optima_here = [optimize(profile, spec) for spec in specs]
+                scaled_optima = [optimize(scaled, spec) for spec in specs]
+                for mech in MECHS:
+                    outcome = mech.apply(profile)
+                    shrunk = FacilityOutcome.lottery((math.ldexp(pt, -1000), p) for pt, p in outcome.support)
+                    reports = ratios_to(profile, outcome, specs, optima_here)
+                    for spec, optimal, report, scaled_optimal in zip(specs, optima_here, reports, scaled_optima):
+                        assert report == ratio_to(profile, outcome, spec, optimal)
+                        want = ratio_to(scaled, shrunk, spec, scaled_optimal)
+                        value = want.mechanism_value if spec.form == "b" else want.mechanism_value * 2.0**1000
+                        context = (profile.raw(), mech.label, spec.label)
+                        assert (report.ratio, report.mechanism_value) == (want.ratio, value), context
+                        finite_over_inf += math.isinf(value) and math.isfinite(report.ratio)
+        assert finite_over_inf > 1_000
 
 
 class TestGridOptimize:
@@ -245,6 +343,24 @@ def test_exact_never_above_grid(profile):
         exact = optimize(profile, spec)
         grid = grid_optimize(profile, spec, 2001)
         assert exact.value <= grid.value + 1e-9
+
+
+@given(grouped_profiles())
+def test_optima_just_under_the_float_maximum_scale_with_the_profile(profile):
+    # `top` has its largest |x| in [2^1022, 2^1023), past the float range of
+    # its sums; `low` is `top` times 2^-20, inside it. Scaling by a power of
+    # two is exact, so `top`'s optimum is `low`'s scaled by 2^20, or an
+    # ObjectiveOverflowError exactly when that value is inf.
+    x1, xn = profile.span
+    assume(max(-x1, xn) > 0.0)
+    e = math.frexp(max(-x1, xn))[1]
+    top = times_power_of_two(profile, 1023 - e)
+    low = times_power_of_two(profile, 1003 - e)
+    for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+        want = scaled_back(optimize_outcome(low, spec), spec, 20)
+        assert optimize_outcome(top, spec) == want, spec.label
+        if isinstance(want, tuple):
+            assert want[1] == eval_point(top, spec, want[0]), spec.label
 
 
 @given(grouped_profiles(), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))

@@ -147,8 +147,7 @@ def test_swept_spreads_match_spread_in_every_branch():
         ys = set(locs) | {(a + b) / 2.0 for a, b in zip(locs, locs[1:])}
         ys |= {first - width, first - width / 3.0, last + width / 7.0, last + width}
         ys = sorted(ys)
-        reach = max(last, ys[-1]) - min(first, ys[0])
-        _, spreads = _sweep_group(locs, ys, reach, True)
+        _, spreads = _sweep_group(locs, ys, True)
         assert _bits(spreads) == _bits(_spread(locs, y) for y in ys), locs
         for y in ys:
             if y < first:
@@ -178,14 +177,16 @@ NEAR_FLOAT_MAX = [
             "alt-a-total": (1.5e308, 1.9999999999999992e307, (1.5e308,)),
         },
     ),
-    # Here the offsets themselves sum past the float maximum, while every
-    # total stays finite.
+    # Here the offsets themselves sum past the float maximum. On [0, 1e308]
+    # the group totals are 2e308 - y and 1e308 - y, so alt-a-total is 1e308
+    # everywhere there; it is found at 0 only on the profile scaled by a
+    # power of two, where 2e308 does not overflow.
     (
         [(0.0, 1), (1e308, 1), (1e308, 1), (1e308, 2)],
         {
             "mtgc": (1e308, 1e308, (1e308,)),
             "iif1": (5e307, 5e307, (5e307,)),
-            "alt-a-total": (5e307, 1e308, (5e307, 1e308)),
+            "alt-a-total": (0.0, 1e308, (0.0, 5e307, 1e308)),
         },
     ),
 ]
@@ -256,9 +257,9 @@ def test_one_objective_sweeps_only_what_it_reads(monkeypatch):
     stats_calls, spreads_asked = [], []
     sweep_group, stats_along = objectives._sweep_group, oracle.stats_along
 
-    def counted_sweep(locs, ys, reach, spreads):
+    def counted_sweep(locs, ys, spreads):
         spreads_asked.append(spreads)
-        return sweep_group(locs, ys, reach, spreads)
+        return sweep_group(locs, ys, spreads)
 
     def counted_stats(profile, ys, specs):
         stats_calls.append(tuple(specs))
@@ -278,11 +279,11 @@ def test_one_objective_sweeps_only_what_it_reads(monkeypatch):
             assert spreads_asked == [spec.kind in ("iif1", "iif2")] * profile.group_count, spec.label
 
 
-# sha256 of `_optimize_outcomes()`, last taken when `breakpoints` began to
-# halve each end of a midpoint whose sum overflows, which moved 3 rows, all
-# on the first NEAR_FLOAT_MAX profile. `tests/optimize_rows.py` dumps the
-# rows and names those that move.
-OPTIMIZE_DIGEST = "928fea89a7c1b90f2b879bdd31f411fec9e74625598be2cf49182d843158a1fb"
+# sha256 of `_optimize_outcomes()`, last taken when `optima` began to work
+# near the float maximum on the profile scaled by a power of two, which moved
+# 2 rows, alt-a-total and alt-b-total on the second NEAR_FLOAT_MAX profile.
+# `tests/optimize_rows.py` dumps the rows and names those that move.
+OPTIMIZE_DIGEST = "a8959c905e1e9b823676ccf9a6ffe1cf5726ffd7d371416a3611f9910fbaffbe"
 
 
 def _optimize_profiles():
