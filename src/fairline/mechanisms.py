@@ -14,15 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from . import families
-from .model import FacilityOutcome, GroupedProfile, build_profile
+from .model import FacilityOutcome, GroupedProfile, _left_median, build_profile, median_index
 from .objectives import _KINDS
-
-
-def median_index(count: int) -> int:
-    """1-based position of the left median within a sorted multiset of `count` items."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return (count + 1) // 2
 
 
 def _three_point(left: float, right: float) -> FacilityOutcome:
@@ -58,8 +51,7 @@ def kldm(profile: GroupedProfile, k: int) -> FacilityOutcome:
 def mgdm(profile: GroupedProfile) -> FacilityOutcome:
     """Facility at the left median of the largest group, smallest index on ties."""
     sizes = profile.group_sizes
-    g = sizes.index(max(sizes))
-    return FacilityOutcome.at(profile.group_medians[g])
+    return FacilityOutcome.at(_left_median(profile.group_locations[sizes.index(max(sizes))]))
 
 
 def rm(profile: GroupedProfile) -> FacilityOutcome:
@@ -82,7 +74,7 @@ def median_of_group(profile: GroupedProfile, j: int) -> FacilityOutcome:
     """Facility at the left median of group j, regardless of group sizes."""
     if not 1 <= j <= profile.group_count:
         raise IndexError(f"group must lie in 1..{profile.group_count}, got {j}")
-    return FacilityOutcome.at(profile.group_medians[j - 1])
+    return FacilityOutcome.at(_left_median(profile.group_locations[j - 1]))
 
 
 class _Rule(NamedTuple):

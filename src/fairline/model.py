@@ -62,18 +62,18 @@ class GroupedProfile:
 
     `GroupedProfile(group_locations)` takes one ascending sequence of finite
     locations per group, none of them empty; -0.0 is stored as 0.0, so agents
-    with equal (location, group) are identical values. The derived views
-    (`locations`, `group_sizes`, `group_medians`) are computed once, when the
-    profile is made. Agents are ordered by (location, group), as in `raw()`,
-    which makes every mechanism built on top of this type deterministic.
+    with equal (location, group) are identical values. The views every rule
+    and objective reads (`locations`, `group_sizes`) are computed once, when
+    the profile is made; `group_medians`, read only by the rules built on
+    group medians, is read off the groups on each access. Agents are ordered
+    by (location, group), as in `raw()`, which makes every mechanism built on
+    top of this type deterministic.
     """
 
     # Member locations per group, each tuple sorted ascending.
     group_locations: tuple[tuple[float, ...], ...]
     locations: tuple[float, ...] = field(init=False, repr=False, compare=False)
     group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # Left median of every group's member locations.
-    group_medians: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         groups = tuple(tuple(map(_location, members)) for members in self.group_locations)
@@ -93,6 +93,14 @@ class GroupedProfile:
     @property
     def n(self) -> int:
         return len(self.locations)
+
+    @property
+    def group_medians(self) -> tuple[float, ...]:
+        """Left median of every group's member locations."""
+        # From a list, not `tuple(map(...))`: a tuple grown by resizing goes,
+        # once freed, onto CPython's free list of its size, which then fills
+        # to its cap over an audit (about 0.1 MiB more peak memory).
+        return tuple([_left_median(members) for members in self.group_locations])
 
     @property
     def span(self) -> tuple[float, float]:
@@ -135,19 +143,17 @@ class GroupedProfile:
             rest[g - 1] = rest[g - 1][:spot] + rest[g - 1][spot + 1 :]
         # Per deviator group: (group, unchanged members, deviator count).
         moved = [(g, rest[g - 1], count) for g, count in counts.items()]
-        group_locations, group_sizes, medians = self.group_locations, self.group_sizes, self.group_medians
+        group_locations, group_sizes = self.group_locations, self.group_sizes
 
         def deviated(location: float) -> GroupedProfile:
             report = _location(location)
             spot = bisect_left(rest_locs, report)
             locs = rest_locs[:spot] + (report,) * len(movers) + rest_locs[spot:]
-            views, meds = group_locations, medians
+            views = group_locations
             for g, members, count in moved:
                 spot = bisect_left(members, report)
-                spliced = members[:spot] + (report,) * count + members[spot:]
-                views = views[: g - 1] + (spliced,) + views[g:]
-                meds = meds[: g - 1] + (_left_median(spliced),) + meds[g:]
-            return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes, meds)
+                views = views[: g - 1] + (members[:spot] + (report,) * count + members[spot:],) + views[g:]
+            return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes)
 
         return deviated
 
@@ -198,8 +204,15 @@ def _merge_close(sorted_points: Iterable[float]) -> list[float]:
     return out
 
 
+def median_index(count: int) -> int:
+    """1-based position of the left median, the ceil(count/2)-th, within a sorted multiset of `count` items."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    return (count + 1) // 2
+
+
 def _left_median(sorted_locs: tuple[float, ...]) -> float:
-    return sorted_locs[(len(sorted_locs) + 1) // 2 - 1]
+    return sorted_locs[median_index(len(sorted_locs)) - 1]
 
 
 def _set_views(
@@ -207,22 +220,16 @@ def _set_views(
     group_locations: tuple[tuple[float, ...], ...],
     locations: tuple[float, ...],
     group_sizes: tuple[int, ...],
-    group_medians: tuple[float, ...],
 ) -> GroupedProfile:
     # A frozen dataclass refuses `setattr`; its instance dict does not.
-    profile.__dict__.update(
-        group_locations=group_locations,
-        locations=locations,
-        group_sizes=group_sizes,
-        group_medians=group_medians,
-    )
+    profile.__dict__.update(group_locations=group_locations, locations=locations, group_sizes=group_sizes)
     return profile
 
 
 def _set_sorted_views(profile: GroupedProfile, groups: tuple[tuple[float, ...], ...]) -> GroupedProfile:
     """Set every view of `profile` from `groups`: non-empty, sorted tuples of `_location` values."""
     locations = tuple(sorted(chain.from_iterable(groups)))
-    return _set_views(profile, groups, locations, tuple(map(len, groups)), tuple(map(_left_median, groups)))
+    return _set_views(profile, groups, locations, tuple(map(len, groups)))
 
 
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:

@@ -63,7 +63,9 @@ works on `model.scaled_in_range` of the profile, where no sum overflows, and
 scales its results back; `breakpoints`, `eval_point` and the rule's side of
 a ratio do the same. That is the one overflow rule: the search itself never
 meets inf - inf, and an optimum whose value exceeds the float maximum raises
-ObjectiveOverflowError.
+ObjectiveOverflowError. Scaling rounds subnormal coordinates, so the
+scaled-back locations, minimizers and kinks are clamped into [x_1, x_n]
+(`_into_span`), and the search stays confined to the span there too.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
       the iif spread) kinks only at its members and its extreme midpoint.
 
     Near the float maximum the grid is taken on `scaled_in_range` of the
-    profile, where no midpoint's sum overflows, and scaled back.
+    profile, where no midpoint's sum overflows, and scaled back into the
+    agent span (`_into_span`).
     """
     scaled, k = scaled_in_range(profile)
     pts = set(scaled.locations)
@@ -159,7 +162,7 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
         pts.update((a + b) / 2.0 for a, b in zip(locs, locs[1:]))
         pts.add((locs[0] + locs[-1]) / 2.0)
     grid = _merge_close(sorted(pts))
-    return tuple(p * 2.0**k for p in grid) if k else tuple(grid)
+    return tuple(_into_span(grid, k, profile.span) if k else grid)
 
 
 def _crossing_candidates(
@@ -291,7 +294,7 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
             sweeps[convex] = pts, stats_along(scaled, pts, sharing)
         pts, stats = sweeps[convex]
         result = _select(scaled, spec, pts, assemble_along(spec, stats))
-        results.append(_scaled_back(spec, result, k) if k else result)
+        results.append(_scaled_back(spec, result, k, profile.span) if k else result)
     return tuple(results)
 
 
@@ -348,19 +351,33 @@ def _select(
     return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))
 
 
-def _scaled_back(spec: ObjectiveSpec, result: OptimalResult, k: int) -> OptimalResult:
-    """`result`, an optimum on the profile scaled by 2^-k, read on the profile itself.
+def _scaled_back(spec: ObjectiveSpec, result: OptimalResult, k: int, span: tuple[float, float]) -> OptimalResult:
+    """`result`, an optimum on the profile scaled by 2^-k, read on the profile itself, whose agent span is `span`.
 
-    Raises ObjectiveOverflowError when the optimum value exceeds the float
-    maximum.
+    Its minimizers are scaled back into the span (`_into_span`), and the
+    location is still the leftmost of them. Raises ObjectiveOverflowError
+    when the optimum value exceeds the float maximum.
     """
     value = unscaled(spec, result.value, k)
     if math.isinf(value):
         raise ObjectiveOverflowError(
             f"{spec.label} overflows the float range on this instance (its optimum exceeds the float maximum)"
         )
+    minimizers = _into_span(result.minimizers, k, span)
+    return OptimalResult(minimizers[0], value, tuple(minimizers))
+
+
+def _into_span(points: Sequence[float], k: int, span: tuple[float, float]) -> list[float]:
+    """Ascending `points` on the profile scaled by 2^-k, times 2^k and clamped into the agent span `span`.
+
+    Scaling by 2^-k rounds a subnormal coordinate (an agent at 5e-324 goes
+    to 0), so a point may come back just outside [x_1, x_n]; the clamp puts
+    it on the nearer end. Clamping keeps the order, and points it makes
+    equal are merged.
+    """
+    x1, xn = span
     unit = 2.0**k
-    return OptimalResult(result.location * unit, value, tuple(y * unit for y in result.minimizers))
+    return _merge_close([min(max(p * unit, x1), xn) for p in points])
 
 
 def ratio(profile: GroupedProfile, mechanism: MechanismLike, spec: ObjectiveSpec) -> RatioReport:

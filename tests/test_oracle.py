@@ -211,6 +211,24 @@ class TestOverflow:
         profile = build_profile([(-1.7e308, 1), (-1.6e308, 1), (1.7e308, 2)], 2)
         assert breakpoints(profile) == (-1.7e308, -1.7e308 / 2 + -1.6e308 / 2, -1.6e308, 1.7e308)
 
+    def test_a_subnormal_agent_rounded_by_the_scaling_keeps_the_search_in_the_span(self):
+        # Scaling by 2^-5 takes the agent at ±5e-324 to 0, which scales back
+        # as 0, outside the span; the results are clamped into it.
+        leftmost_at_the_subnormal = 0
+        for raw in ([(5e-324, 1), (1.7e308, 1)], [(-1.7e308, 1), (-5e-324, 1)]):
+            profile = build_profile(raw, 1)
+            x1, xn = profile.span
+            assert scaled_in_range(profile)[1] == 5
+            assert all(x1 <= y <= xn for y in breakpoints(profile))
+            for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+                result = optimize(profile, spec)
+                assert all(x1 <= y <= xn for y in result.minimizers), spec.label
+                assert result.location == result.minimizers[0]
+                if x1 == 5e-324 and spec.kind not in ("iif1", "iif2"):
+                    assert result.location == 5e-324, spec.label
+                    leftmost_at_the_subnormal += 1
+        assert leftmost_at_the_subnormal == 8
+
     def test_optima_whose_sums_pass_the_float_maximum_are_exact(self):
         # The span and the direct sums at the minimizers overflow; every
         # optimum is finite.
