@@ -76,7 +76,7 @@ class GroupedProfile:
     group_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups = tuple(tuple(map(_location, members)) for members in self.group_locations)
+        groups = tuple([tuple(map(_location, members)) for members in self.group_locations])
         if not groups:
             raise ProfileError("a profile needs at least one group")
         for j, members in enumerate(groups, start=1):
@@ -229,7 +229,9 @@ def _set_views(
 def _set_sorted_views(profile: GroupedProfile, groups: tuple[tuple[float, ...], ...]) -> GroupedProfile:
     """Set every view of `profile` from `groups`: non-empty, sorted tuples of `_location` values."""
     locations = tuple(sorted(chain.from_iterable(groups)))
-    return _set_views(profile, groups, locations, tuple(map(len, groups)))
+    # The m-sized tuples here and in `build_profile` and `__post_init__` are
+    # built from lists, as `group_medians` is, to keep them off the free lists.
+    return _set_views(profile, groups, locations, tuple([len(g) for g in groups]))
 
 
 def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> GroupedProfile:
@@ -246,7 +248,7 @@ def build_profile(raw: Iterable[tuple[float, int]], group_count: int) -> Grouped
         if not 1 <= g <= group_count:
             raise ProfileError(f"group {g} outside 1..{group_count}")
         buckets[g - 1].append(x)
-    groups = tuple(tuple(sorted(b)) for b in buckets)
+    groups = tuple([tuple(sorted(b)) for b in buckets])
     if not (groups and all(groups)):
         return GroupedProfile(groups)  # raises the constructor's error for no group or an empty one
     # The locations are validated and sorted: only the views are left to set.

@@ -11,17 +11,19 @@ candidates gives an exact global optimum.
 
 `optima(profile, specs)` returns the optima of one or more objectives on
 one profile, one per objective in order, and `optimize(profile, spec)` is
-`optima` of one objective. Each optimum evaluates every kink first, in one
+`optima` of one objective. Each optimum evaluates the kinks first, in one
 left-to-right sweep per group: `objectives.stats_along` walks each group's
 sorted members with one pointer, so every kink costs O(m) instead of an
-O(n) sum per group.
+O(n) sum per group. On a large grid only the kinks of some blocks are
+swept (the coarse pass, below).
 mtgc and magc search the same kinks (the agent locations), and so do all the
 other objectives (`breakpoints`), so the objectives given together share
 one sweep per kink grid, which takes every statistic they read and no other.
 The pass stays column-major: `objectives.assemble_along` builds each
 objective's families from the sweep, one column per group with the group's
 value at every kink; `objectives.combine_along` folds the columns over the
-groups into the kink values, and `_interval_floors` reads the same columns.
+groups into the kink values, and `floors._interval_floors` reads the same
+columns.
 Only an interval that is searched has its two kinks' values gathered into
 rows (`_row`). The kink values stay one list beside the kinks, which the tie
 cut, the least value and the minimizers each read in one pass; only the
@@ -31,14 +33,38 @@ the kinks tied with the best one: a convex function's minimizers form one
 interval, which starts past the last kink left of them that lies above the
 tie window. For the others, inside an interval every constituent lies
 between its two endpoint values, so the objective there is at least an
-"interval floor" built from them (`_interval_floors`). An interval whose
-floor, less a rounding slack, lies above the best kink value's tie window
+"interval floor" built from them (`floors._interval_floors`). An interval
+whose floor, less a rounding slack, lies above the best kink value's tie window
 holds no crossing that could set the optimum or tie with it: the optimum is
 at most the best kink value, and the tie window grows with the value it is
 taken around. So skipping those intervals changes neither the optimum nor
 the minimizers. On Gaussian profiles of about 130 agents in 4 groups, iif1
 and iif2 search about 1% of the intervals. A call is O(n·m^2) at worst,
 against O(n^2) for a direct sum at every kink.
+
+The coarse pass extends the floor from two adjacent kinks to a block of
+them, by the Lipschitz bound of one-dimensional global optimization
+(Piyavskii 1972; Shubert 1972). On a grid of at least _BLOCK blocks of
+_BLOCK kinks, the objectives sharing it first sweep only every _BLOCK-th
+kink and the last, which cut the grid into blocks (`_sweep`). Every
+constituent moves by at most L per unit of y (`floors._slopes`: the group
+size for totals, 1 for averages and farthest distances, 2 for spreads, and
+their sum for a family that adds two), so on a block [a, b] it lies within
+(v(a) + v(b) -/+ L·(b - a))/2, and those bounds combine into a block floor
+as the endpoint values do into an interval floor (`floors._block_floors`).
+Each objective drops the blocks whose floor, less the same slack, lies
+above the tie window of its least coarse value; the kinks of every block
+some objective keeps are swept, and `_select` runs on them as before, with
+crossings searched only between kinks adjacent on the grid. That changes no
+result, bit for bit. The least coarse value is at least the least kink
+value, and the tie window grows with the value it is taken around, so the
+coarse window is at least the final one: a dropped kink can neither be the
+best kink, tie with it nor move the cut. Every crossing inside a dropped
+block is at least that block's floor. A kept kink comes from the same
+pointer walk, and its value depends on that point alone. On the Gaussian
+profiles above, iif1 and iif2 sweep about 12% of their kinks besides the
+coarse ones, and mtgc and magc about 28%.
+
 Which constituents an objective combines (`objectives._assembler`) and how
 it combines them (`ObjectiveSpec._combiner`: iif1's sum, alt's gap, alt's
 ratio with its 0/0 convention) are written once and serve both `eval_point`
@@ -71,16 +97,17 @@ scaled-back locations, minimizers and kinks are clamped into [x_1, x_n]
 from __future__ import annotations
 
 import math
-import sys
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from operator import add, sub
 
+from .floors import _block_floors, _interval_floors, _slack, _slopes
 from .mechanisms import MechanismLike, as_mechanism_fn
 from .model import MERGE_TOL, FacilityOutcome, GroupedProfile, _merge_close, scaled_in_range
 from .objectives import (
     GroupStats,
     ObjectiveSpec,
+    _assembler,
     assemble_along,
     combine,
     combine_along,
@@ -91,18 +118,13 @@ from .objectives import (
     unscaled,
 )
 
-# A constituent line interpolated in floats, va + t·(vb − va) with t in
-# (0, 1), lands within 1.5·eps·max(|va|, |vb|) of [min(va, vb), max(va, vb)].
-# On the span a group's total is at most its size times the span and any
-# other constituent at most twice the span, so 2·n·span bounds every rounded
-# constituent. The interval floor widens its bounds by this factor times
-# 2·n·span, which also covers the rounding of the widening itself. The
-# search runs on profiles that `scaled_in_range` leaves as they are, where
-# 2·n·span and every constituent are finite.
-_FLOOR_SLACK = 8.0 * sys.float_info.epsilon
-
 # Objectives that are convex in the facility location: max of convex totals.
 _CONVEX = ("mtgc", "magc")
+
+# Kinks per block of the coarse pass: a grid of at least _BLOCK blocks is
+# first swept at every _BLOCK-th kink, and then only in the blocks that can
+# hold the optimum (`_sweep`).
+_BLOCK = 8
 
 
 class UnboundedObjectiveError(ValueError):
@@ -195,45 +217,6 @@ def _crossing_candidates(
     return out
 
 
-def _interval_floors(spec: ObjectiveSpec, columns: tuple[list[list[float]], ...], slack: float) -> list[float]:
-    """Per interval between consecutive kinks, a lower bound of the objective at its crossings.
-
-    `columns` holds the constituent families at the kinks as `assemble_along`
-    returns them, one column per group. Between two kinks every constituent
-    is a line, so inside the interval it lies between its two endpoint
-    values, widened by `slack` for rounding. Each family's maximum is then
-    at least the largest of the smaller endpoint values, and alt's minimum
-    at most the smallest of the larger ones. Every objective grows with its
-    maxima and shrinks with alt's minimum, and float rounding keeps that
-    order, so combining the bounds gives a floor that no rounded crossing
-    value inside the interval goes below. Alt form "b" gets no floor (-inf)
-    where the bound on its divisor is not positive.
-    """
-    # Conditional expressions, not min() and max() calls: this runs once per
-    # group and interval, and a builtin call costs several times as much.
-    # Each group's smaller (larger) endpoint value s (t) is folded into the
-    # running maximum (minimum) over the groups in the same comprehension.
-    highs = []
-    lows: list[float] = []
-    for family in columns:
-        # g: one group's constituent at every kink, in order.
-        g = family[0]
-        high = [a if a < b else b for a, b in zip(g, g[1:])]
-        if spec.kind == "alt":
-            lows = [a if a > b else b for a, b in zip(g, g[1:])]
-        for g in family[1:]:
-            high = [h if h > (s := a if a < b else b) else s for h, a, b in zip(high, g, g[1:])]
-            if spec.kind == "alt":
-                lows = [x if x < (t := a if a > b else b) else t for x, a, b in zip(lows, g, g[1:])]
-        highs.append([h - slack for h in high])
-    if spec.kind != "alt":
-        return list(map(add, *highs)) if spec.kind == "iif1" else highs[0]
-    lows = [x + slack for x in lows]
-    if spec.form == "a":
-        return list(map(sub, highs[0], lows))
-    return [high / low if low > 0.0 else -math.inf for high, low in zip(highs[0], lows)]
-
-
 def _row(columns: tuple[list[list[float]], ...], k: int) -> tuple[list[float], ...]:
     """The families at kink `k`, one value per group, as `constituents` gives them at that kink."""
     return tuple([column[k] for column in family] for family in columns)
@@ -245,8 +228,8 @@ def _tie_tol(value: float) -> float:
     The tolerance tracks rounding noise only, so every listed minimizer
     re-evaluates to the optimum far inside the package-wide 1e-9 tolerance.
     `value + _tie_tol(value)` grows with `value`, which is what lets
-    `_select` prune intervals against its best kink before it knows the
-    optimum.
+    `_select` prune intervals against its best kink, and `_sweep` blocks
+    against its least coarse value, before they know the optimum.
     """
     return 1e-12 * max(1.0, abs(value))
 
@@ -263,12 +246,19 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     magc the merged agent locations, every other objective `breakpoints`.
     That sweep (`stats_along`) takes every statistic the objectives of
     `specs` on those kinks read. What one optimum reads of it does not
-    depend on the other objectives, so each result is bit-identical whichever
-    specs share it.
+    depend on the other objectives (the coarse pass may sweep more blocks
+    for them, which moves no result), so each result is bit-identical
+    whichever specs share it.
 
-    Each optimum evaluates every kink (kept as per-group columns through
-    `combine_along` and `_interval_floors`), then the crossings inside the
-    intervals that can hold the optimum. For the convex mtgc and magc those
+    Each optimum evaluates the kinks (kept as per-group columns through
+    `combine_along` and `floors._interval_floors`), then the crossings
+    inside the intervals that can hold the optimum. On a grid of at least _BLOCK blocks
+    of _BLOCK kinks, the coarse pass (`_sweep`) sweeps every _BLOCK-th kink
+    first, once for all objectives sharing the grid, and then only the
+    blocks whose Lipschitz floor reaches some objective's coarse tie window;
+    the blocks it drops hold no kink or crossing that could set the optimum
+    or tie with it, so every result is bit-identical to a sweep of every
+    kink (see the module docstring). For the convex mtgc and magc those
     run from the interval left of the stretch of kinks tied with the best
     one (within `_tie_tol`) to the interval right of it, since a flat
     optimum may round least at any kink of the stretch. Otherwise they are
@@ -284,18 +274,62 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     ObjectiveOverflowError when the optimum value exceeds the float maximum.
     """
     scaled, k = scaled_in_range(profile)
-    sweeps: dict[bool, tuple[Sequence[float], GroupStats]] = {}
+    sweeps: dict[bool, tuple[Sequence[float], GroupStats, Container[int]]] = {}
     results = []
     for spec in specs:
         convex = spec.kind in _CONVEX
         if convex not in sweeps:
-            pts = _kinks(scaled, spec)
             sharing = [s for s in specs if (s.kind in _CONVEX) == convex]
-            sweeps[convex] = pts, stats_along(scaled, pts, sharing)
-        pts, stats = sweeps[convex]
-        result = _select(scaled, spec, pts, assemble_along(spec, stats))
+            sweeps[convex] = _sweep(scaled, _kinks(scaled, spec), sharing)
+        pts, stats, gaps = sweeps[convex]
+        result = _select(scaled, spec, pts, assemble_along(spec, stats), gaps)
         results.append(_scaled_back(spec, result, k, profile.span) if k else result)
     return tuple(results)
+
+
+def _sweep(
+    profile: GroupedProfile, pts: Sequence[float], specs: Sequence[ObjectiveSpec]
+) -> tuple[Sequence[float], GroupStats, Container[int]]:
+    """The kinks of the grid `pts` that the objectives `specs` need swept, their statistics, and the gaps between them.
+
+    A gap k marks kinks k and k + 1 of the result that are not adjacent in
+    `pts`. A grid of fewer than _BLOCK blocks of _BLOCK kinks is swept
+    whole. On a larger one the coarse pass sweeps every _BLOCK-th kink and
+    the last, which cut the grid into blocks; each objective then keeps the
+    blocks whose floor (`_block_floors`) reaches the tie window of its least
+    coarse value, and only the kinks of the blocks some objective keeps are
+    swept (see the module docstring). The statistics come from
+    `stats_along`, whose value at a kink depends on that kink alone.
+    """
+    if len(pts) < _BLOCK * _BLOCK:
+        return pts, stats_along(profile, pts, specs), ()
+    ends = list(range(0, len(pts) - 1, _BLOCK)) + [len(pts) - 1]
+    coarse = [pts[i] for i in ends]
+    stats = stats_along(profile, coarse, specs)
+    widths = list(map(sub, coarse[1:], coarse))
+    slopes = _slopes(profile)
+    slack = _slack(profile)
+    kept = [False] * len(widths)
+    for spec in specs:
+        columns = assemble_along(spec, stats)
+        least = min(combine_along(spec, columns))
+        cut = least + _tie_tol(least)
+        # `_assembler` of the statistics' constants: a family that adds two
+        # statistics moves by at most the sum of theirs.
+        floors = _block_floors(spec, columns, widths, _assembler(spec, add)(*slopes), slack)
+        kept = [keep or not floor > cut for keep, floor in zip(kept, floors)]
+    kinks: list[float] = []
+    gaps: set[int] = set()
+    last = -1  # the index in `pts` of the last kink in `kinks`
+    for j, keep in enumerate(kept):
+        if keep:
+            if ends[j] > last:  # the first block kept, or the one before it dropped
+                if kinks:
+                    gaps.add(len(kinks) - 1)
+                kinks.append(pts[ends[j]])
+            kinks += pts[ends[j] + 1 : ends[j + 1] + 1]
+            last = ends[j + 1]
+    return kinks, stats_along(profile, kinks, specs), gaps
 
 
 def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
@@ -308,13 +342,19 @@ def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
 
 
 def _select(
-    profile: GroupedProfile, spec: ObjectiveSpec, pts: Sequence[float], columns: tuple[list[list[float]], ...]
+    profile: GroupedProfile,
+    spec: ObjectiveSpec,
+    pts: Sequence[float],
+    columns: tuple[list[list[float]], ...],
+    gaps: Container[int],
 ) -> OptimalResult:
-    """One optimum's search and selection, given the families at every kink `pts` as columns.
+    """One optimum's search and selection, given the families at the kinks `pts` as columns.
 
-    `profile` lies in the float range (`scaled_in_range` leaves it as it is),
-    so no candidate reads NaN, and only alt form "b"'s positive statistic over
-    0 reads +inf.
+    `pts` and `gaps` are `_sweep`'s: no crossing is searched between kinks
+    k and k + 1 for k in `gaps`, which are not adjacent on the grid, and a
+    stretch of tied kinks ends there. `profile` lies in the float range
+    (`scaled_in_range` leaves it as it is), so no candidate reads NaN, and
+    only alt form "b"'s positive statistic over 0 reads +inf.
     """
     values = combine_along(spec, columns)
     best = min(values)
@@ -325,20 +365,20 @@ def _select(
         # of kinks tied with the best one: on a flat optimum the best kink
         # may be any of the stretch, and the leftmost minimizer left of it.
         lo = hi = values.index(best)
-        while lo > 0 and values[lo - 1] <= cut:
+        while lo > 0 and lo - 1 not in gaps and values[lo - 1] <= cut:
             lo -= 1
-        while hi < len(values) - 1 and values[hi + 1] <= cut:
+        while hi < len(values) - 1 and hi not in gaps and values[hi + 1] <= cut:
             hi += 1
         searched = range(max(lo - 1, 0), min(hi + 1, len(pts) - 1))
     else:
         # No crossing in an interval whose floor exceeds the best kink's tie
         # window can be a minimizer.
-        x1, xn = profile.span
-        slack = _FLOOR_SLACK * (2.0 * profile.n * (xn - x1))
-        searched = [k for k, floor in enumerate(_interval_floors(spec, columns, slack)) if not floor > cut]
+        floors = _interval_floors(spec, columns, _slack(profile))
+        searched = [k for k, floor in enumerate(floors) if not floor > cut]
     crossings: list[tuple[float, float]] = []
     for k in searched:
-        crossings += _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
+        if k not in gaps:
+            crossings += _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
     vmin = min([best] + [v for _, v in crossings])
     if vmin == math.inf:
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")

@@ -332,9 +332,9 @@ class TestSweep:
         selected, swept = [], []
         select, stats_along = oracle._select, oracle.stats_along
 
-        def counted_select(profile, spec, pts, columns):
+        def counted_select(profile, spec, *rest):
             selected.append(spec)
-            return select(profile, spec, pts, columns)
+            return select(profile, spec, *rest)
 
         def counted_stats(profile, ys, specs):
             swept.append(tuple(specs))
