@@ -169,13 +169,25 @@ def _climb(fn: Rule, spec: ObjectiveSpec, config: SearchConfig, start: GroupedPr
     return improvements
 
 
+def _threads() -> int:
+    """This process's OS threads, read from /proc where it exists, else its Python threads.
+
+    Native threads, such as a BLAS pool started by importing numpy, show only
+    in /proc.
+    """
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
 def _lanes(restarts: int) -> int:
     """How many processes share a search's restarts: one per usable CPU, at most one per restart.
 
-    One where `os.fork` is missing, and one while another Python thread
-    runs, since forking a threaded process is unsafe.
+    One where `os.fork` is missing, and one while this process runs another
+    thread, since forking a threaded process is unsafe.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if not hasattr(os, "fork") or _threads() > 1:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -16,11 +16,14 @@ Both try a finite set of misreports, chosen per mechanism:
   `resolution` uniform points over the span widened by one span-width on
   each side.
 
-Each deviator set gets one deviation path, `GroupedProfile.deviations`: the
-deviators are taken out of the truthful profile once, and each candidate in
-the union of both sets is spliced back in as their report, not rebuilt. The
-deviated profile is shared across the audited mechanisms and equals the one
-`build_profile` would give.
+Both sets depend only on the deviator's true location and the profile, so
+one audit call computes each true location's candidates once, each paired
+with the mechanisms it is tried on, and the deviator sets at that location
+share them. Each deviator set gets one deviation path,
+`GroupedProfile.deviations`: the deviators are taken out of the truthful
+profile once, and each candidate in the union of both sets is spliced back
+in as their report, not rebuilt. The deviated profile is shared across the
+audited mechanisms and equals the one `build_profile` would give.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class ConstructionInapplicableError(ValueError):
     """The probed mechanism placed the facility outside the construction's case analysis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AuditFinding:
     """A witness misreport that strictly reduces the deviators' expected cost.
 
@@ -61,9 +64,26 @@ class AuditFinding:
     truthful_cost: float
     deviating_cost: float
 
-    def __post_init__(self) -> None:
-        if not self.deviating_cost < self.truthful_cost - VIOLATION_TOL:
+    def __init__(
+        self,
+        deviators: tuple[int, ...],
+        true_location: float,
+        misreport: float,
+        truthful_cost: float,
+        deviating_cost: float,
+    ) -> None:
+        if not deviating_cost < truthful_cost - VIOLATION_TOL:
             raise ValueError("a finding must be a strict violation")
+        # One write to the instance dict, which a frozen dataclass allows: its
+        # generated __init__ sets each field through `object.__setattr__`,
+        # which took about half again as long per finding.
+        self.__dict__.update(
+            deviators=deviators,
+            true_location=true_location,
+            misreport=misreport,
+            truthful_cost=truthful_cost,
+            deviating_cost=deviating_cost,
+        )
 
 
 @dataclass(frozen=True)
@@ -180,20 +200,29 @@ def _audit_sets(
     fns = [as_mechanism_fn(m) for m in mechanisms]
     rules = [k for k, m in enumerate(mechanisms) if isinstance(m, MechanismId)]
     callables = [k for k, m in enumerate(mechanisms) if not isinstance(m, MechanismId)]
+    both = rules + callables
     truthful = [fn(profile) for fn in fns]
     findings: list[list[AuditFinding]] = [[] for _ in fns]
+    # Per true location: each candidate with the mechanisms it is audited for.
+    plans: dict[float, list[tuple[float, list[int]]]] = {}
     for deviators in deviator_sets:
         true_loc = profile.locations[deviators[0]]
+        plan = plans.get(true_loc)
+        if plan is None:
+            complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
+            grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
+            plan = plans[true_loc] = [
+                (cand, callables if cand not in complete else rules if cand not in grid else both)
+                for cand in sorted(complete | grid)
+            ]
         t_costs = [agent_cost(out, true_loc) for out in truthful]
-        complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
-        grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
+        limits = [t_cost - VIOLATION_TOL for t_cost in t_costs]
         deviate = profile.deviations(deviators)
-        for cand in sorted(complete | grid):
+        for cand, audited in plan:
             deviated = deviate(cand)
-            audited = (rules if cand in complete else []) + (callables if cand in grid else [])
             for k in audited:
                 d_cost = agent_cost(fns[k](deviated), true_loc)
-                if d_cost < t_costs[k] - VIOLATION_TOL:
+                if d_cost < limits[k]:
                     findings[k].append(
                         AuditFinding(deviators, true_loc, cand, t_costs[k], d_cost)
                     )

@@ -141,19 +141,21 @@ class GroupedProfile:
             rest_locs = rest_locs[: i - k] + rest_locs[i - k + 1 :]
             spot = bisect_left(rest[g - 1], x)
             rest[g - 1] = rest[g - 1][:spot] + rest[g - 1][spot + 1 :]
-        # Per deviator group: (group, unchanged members, deviator count).
-        moved = [(g, rest[g - 1], count) for g, count in counts.items()]
-        group_locations, group_sizes = self.group_locations, self.group_sizes
+        # Per deviator group: (its index in `group_locations`, unchanged members, deviator count).
+        moved = [(g - 1, rest[g - 1], count) for g, count in counts.items()]
+        group_locations, group_sizes, size = self.group_locations, self.group_sizes, len(movers)
 
         def deviated(location: float) -> GroupedProfile:
             report = _location(location)
+            reports = (report,) * size
             spot = bisect_left(rest_locs, report)
-            locs = rest_locs[:spot] + (report,) * len(movers) + rest_locs[spot:]
-            views = group_locations
-            for g, members, count in moved:
+            locs = rest_locs[:spot] + reports + rest_locs[spot:]
+            views = list(group_locations)
+            for j, members, count in moved:
                 spot = bisect_left(members, report)
-                views = views[: g - 1] + (members[:spot] + (report,) * count + members[spot:],) + views[g:]
-            return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes)
+                # `reports` itself, unsliced, when every deviator is in this group.
+                views[j] = members[:spot] + reports[:count] + members[spot:]
+            return _set_views(object.__new__(GroupedProfile), tuple(views), locs, group_sizes)
 
         return deviated
 
@@ -294,7 +296,9 @@ class FacilityOutcome:
         if not math.isfinite(pt):
             raise OutcomeError(f"support point must be finite, got {pt!r}")
         out = object.__new__(cls)
-        object.__setattr__(out, "support", ((pt, 1.0),))
+        # The frozen dataclass refuses `setattr`; its instance dict does not,
+        # and writing it is quicker than `object.__setattr__`.
+        out.__dict__["support"] = ((pt, 1.0),)
         return out
 
     @classmethod

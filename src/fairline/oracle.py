@@ -179,11 +179,15 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
     agent span (`_into_span`).
     """
     scaled, k = scaled_in_range(profile)
-    pts = set(scaled.locations)
+    # Sorted runs, which the sort merges: the locations, then each group's
+    # consecutive midpoints and its extreme midpoint. `_merge_close` drops
+    # the exact repeats.
+    pts = list(scaled.locations)
     for locs in scaled.group_locations:
-        pts.update((a + b) / 2.0 for a, b in zip(locs, locs[1:]))
-        pts.add((locs[0] + locs[-1]) / 2.0)
-    grid = _merge_close(sorted(pts))
+        pts += [(a + b) / 2.0 for a, b in zip(locs, locs[1:])]
+        pts.append((locs[0] + locs[-1]) / 2.0)
+    pts.sort()
+    grid = _merge_close(pts)
     return tuple(_into_span(grid, k, profile.span) if k else grid)
 
 

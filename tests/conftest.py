@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
+# Before anything imports numpy: its OpenBLAS pool would otherwise start a
+# thread, and the restart lanes fork only a single-threaded process.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import random
 
 import pytest

@@ -80,6 +80,19 @@ class TestMisreportCandidates:
         assert audit.threshold_candidates(p, 0) == [-1.0, -0.25, 0.25, 1.0, 2.0]
         assert set(audit.threshold_candidates(p, 1)) < set(misreport_candidates(p, 1, 101))
 
+    def test_colocated_agents_get_equal_candidates(self):
+        # The audit builds one candidate plan per true location and shares it
+        # among the agents there, which is sound only while this holds.
+        rng = random.Random(28)
+        for _ in range(300):
+            p = build_profile(*random_pairs(rng, max_n=9, digits=(0, 1, 2, 6, None)))
+            first = {}
+            for agent, x in enumerate(p.locations):
+                lists = (audit.threshold_candidates(p, agent),) + tuple(
+                    misreport_candidates(p, agent, resolution) for resolution in (1, 7, 101)
+                )
+                assert first.setdefault(x, lists) == lists
+
 
 class TestSpAudit:
     def test_largest_group_rule_is_clean_on_tight_profile(self):
@@ -125,7 +138,7 @@ class TestSpAudit:
         assert audit.batch_group_sp_audit(rules, p, 101) == [[], [], []]
         assert calls == []
         audit.batch_sp_audit(rules + [mean_mechanism], p, 101)
-        assert len(calls) == p.n
+        assert len(calls) == len(set(p.locations))  # once per true location, shared by its agents
 
     def test_coarse_findings_subset_of_fine(self):
         coarse = sp_audit(mean_mechanism, singleton_pair(), 3)

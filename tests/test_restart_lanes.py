@@ -122,6 +122,11 @@ class TestLaneCount:
         monkeypatch.delattr(os, "fork", raising=False)
         assert adversary._lanes(6) == 1
 
+    def test_one_lane_while_another_os_thread_runs(self, monkeypatch):
+        # A native thread, such as numpy's BLAS pool, is not a Python thread.
+        monkeypatch.setattr(adversary, "_threads", lambda: 2)
+        assert adversary._lanes(6) == 1
+
     def test_one_lane_while_another_thread_runs(self):
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
