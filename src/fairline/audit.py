@@ -24,6 +24,15 @@ share them. Each deviator set gets one deviation path,
 profile once, and each candidate in the union of both sets is spliced back
 in as their report, not rebuilt. The deviated profile is shared across the
 audited mechanisms and equals the one `build_profile` would give.
+
+Twins, deviator sets that move equal (location, group) pairs, are audited
+once. Taking out equal agents leaves equal profiles, views and signs of zero
+included, so the twins' deviated profiles are equal, and every mechanism,
+taken to be a function of the profile alone, gives them equal outcomes and
+costs. A later twin gets no deviation path and no mechanism call: it gets a
+copy of each of the first twin's findings, with its own deviators, at its own
+place in the list. Agents are ordered by (location, group), so individual
+twins are adjacent; no two maximal colocated sets are twins.
 """
 
 from __future__ import annotations
@@ -205,7 +214,23 @@ def _audit_sets(
     findings: list[list[AuditFinding]] = [[] for _ in fns]
     # Per true location: each candidate with the mechanisms it is audited for.
     plans: dict[float, list[tuple[float, list[int]]]] = {}
+    # Per (location, group) pairs moved: where that set's findings lie in each mechanism's list.
+    done: dict[tuple[tuple[float, int], ...], list[tuple[int, int]]] = {}
+    pairs = profile.raw()
     for deviators in deviator_sets:
+        key = tuple([pairs[i] for i in deviators])
+        spans = done.get(key)
+        if spans is not None:
+            # A twin of an audited set: its findings, with these deviators.
+            for found, (start, stop) in zip(findings, spans):
+                found.extend(
+                    [
+                        AuditFinding(deviators, f.true_location, f.misreport, f.truthful_cost, f.deviating_cost)
+                        for f in found[start:stop]
+                    ]
+                )
+            continue
+        starts = [len(found) for found in findings]
         true_loc = profile.locations[deviators[0]]
         plan = plans.get(true_loc)
         if plan is None:
@@ -221,11 +246,20 @@ def _audit_sets(
         for cand, audited in plan:
             deviated = deviate(cand)
             for k in audited:
-                d_cost = agent_cost(fns[k](deviated), true_loc)
+                # `agent_cost`, inline: this is the audit's innermost loop.
+                support = fns[k](deviated).support
+                if len(support) == 1:
+                    pt, p = support[0]
+                    d_cost = p * abs(pt - true_loc)
+                else:
+                    d_cost = 0.0
+                    for pt, p in support:
+                        d_cost += p * abs(pt - true_loc)
                 if d_cost < limits[k]:
                     findings[k].append(
                         AuditFinding(deviators, true_loc, cand, t_costs[k], d_cost)
                     )
+        done[key] = [(start, len(found)) for start, found in zip(starts, findings)]
     return findings
 
 

@@ -343,4 +343,9 @@ def agent_cost(outcome: FacilityOutcome, location: float) -> float:
     if len(support) == 1:
         pt, p = support[0]
         return p * abs(pt - location)
-    return sum(p * abs(pt - location) for pt, p in support)
+    # A left fold from 0.0, which `sum()` is on Python 3.11 and before; from
+    # 3.12 `sum()` compensates, and its last bit would depend on the interpreter.
+    cost = 0.0
+    for pt, p in support:
+        cost += p * abs(pt - location)
+    return cost

@@ -390,8 +390,12 @@ def unscaled(spec: ObjectiveSpec, value: float, k: int) -> float:
 
 
 def eval_outcome(profile: GroupedProfile, spec: ObjectiveSpec, outcome: FacilityOutcome) -> float:
-    """Expected objective value over a lottery's support."""
-    return sum(p * eval_point(profile, spec, pt) for pt, p in outcome.support)
+    """Expected objective value over a lottery's support, added left to right from 0.0."""
+    # Not `sum()`, which compensates from Python 3.12 on (see `model.agent_cost`).
+    value = 0.0
+    for pt, p in outcome.support:
+        value += p * eval_point(profile, spec, pt)
+    return value
 
 
 def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outcome: FacilityOutcome) -> list[float]:
@@ -409,4 +413,10 @@ def eval_outcomes(profile: GroupedProfile, specs: Sequence[ObjectiveSpec], outco
         scaled, k = scaled_in_range(profile, pt)
         stats = _stats_at(scaled, need, math.ldexp(pt, -k))
         terms.append([p * unscaled(spec, combine(spec, _assembler(spec, add)(*stats)), k) for spec in specs])
-    return [sum(column) for column in zip(*terms)]
+    values = []
+    for column in zip(*terms):
+        value = 0.0
+        for term in column:
+            value += term
+        values.append(value)
+    return values

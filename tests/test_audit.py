@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -30,6 +31,7 @@ from fairline.families import (
 )
 
 from conftest import mean_mechanism, random_pairs
+from test_deviation_path import _all_rules, rebuild_audit_sets
 
 DETERMINISTIC = ["mdm", "ldm", "kldm:1", "kldm:2", "mgdm", "mogm", "mog:1", "mog:2"]
 
@@ -175,6 +177,77 @@ class TestGroupSpAudit:
         p = build_profile([(0, 1), (1, 2), (1, 2)], 2)
         findings = group_sp_audit(mean_mechanism, p, 11)
         assert any(len(f.deviators) == 2 and f.true_location == 1.0 for f in findings)
+
+
+def _twinned_pairs(rng: random.Random) -> tuple[list[tuple[float, int]], int]:
+    """Seeded pairs with forced twins, agents of equal (location, group), some at mixed-group locations."""
+    pairs, m = random_pairs(rng, max_n=7)
+    for _ in range(rng.randint(1, 3)):
+        x, g = rng.choice(pairs)
+        pairs.append((x, g))
+        if m > 1 and rng.random() < 0.5:
+            pairs.append((x, rng.choice([h for h in range(1, m + 1) if h != g])))
+    return pairs, m
+
+
+def _first_group_mean(profile):
+    """Not strategyproof for group 1 alone: a twin's group, not only its location, decides its findings."""
+    members = profile.group_locations[0]
+    return FacilityOutcome.at(sum(members) / len(members))
+
+
+class TestTwins:
+    """Agents with equal (location, group) share one deviation path and its findings."""
+
+    @pytest.mark.parametrize("resolution", [1, 7])
+    def test_findings_match_rebuild(self, resolution):
+        rng = random.Random(29 + resolution)
+        found = [0, 0]
+        for _ in range(120):
+            pairs, m = _twinned_pairs(rng)
+            profile = build_profile(pairs, m)
+            rules = _all_rules(profile) + [_first_group_mean]
+            singles = [(i,) for i in range(profile.n)]
+            want = rebuild_audit_sets(rules, profile, resolution, singles)
+            assert audit.batch_sp_audit(rules, profile, resolution) == want, pairs
+            found[0] += len(want[-1])
+            joint = [s for s in audit._colocated_sets(profile) if len(s) > 1]
+            want = rebuild_audit_sets(rules, profile, resolution, joint)
+            assert audit.batch_group_sp_audit(rules, profile, resolution) == want, pairs
+            found[1] += len(want[-1])
+        assert all(found)
+
+    def test_twin_findings_differ_only_in_deviators(self):
+        rng = random.Random(30)
+        twins = 0
+        for _ in range(150):
+            profile = build_profile(*_twinned_pairs(rng))
+            rules = _all_rules(profile)
+            raw = profile.raw()
+            for found in audit.batch_sp_audit(rules, profile, 7):
+                for i in range(1, profile.n):
+                    if raw[i] == raw[i - 1]:
+                        mine = [f for f in found if f.deviators == (i,)]
+                        theirs = [f for f in found if f.deviators == (i - 1,)]
+                        assert mine == [dataclasses.replace(f, deviators=(i,)) for f in theirs], raw
+                        twins += bool(mine)
+        assert twins  # the mean rule keeps the comparison from being vacuous
+
+    def test_black_box_called_once_per_candidate_per_distinct_agent(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            profile = build_profile(*_twinned_pairs(rng))
+            calls = []
+
+            def counted(p):
+                calls.append(p)
+                return mean_mechanism(p)
+
+            audit.batch_sp_audit([counted], profile, 7)
+            distinct = dict.fromkeys(profile.raw())
+            per_agent = [len(misreport_candidates(profile, profile.locations.index(x), 7)) for x, _ in distinct]
+            assert len(distinct) < profile.n
+            assert len(calls) == 1 + sum(per_agent)
 
 
 class TestAuditFinding:

@@ -12,10 +12,12 @@ from fairline import (
     MAGC,
     MTGC,
     ObjectiveSpec,
+    agent_cost,
     alt,
     build_profile,
     eval_outcome,
     eval_point,
+    nrm,
     parse_objective,
     rm,
 )
@@ -26,6 +28,8 @@ from fairline.families import (
     tight_average_family,
     tight_largest_group_total,
 )
+
+from fairline.objectives import eval_outcomes
 
 from conftest import grouped_profiles
 
@@ -103,6 +107,33 @@ class TestEvalOutcome:
             assert eval_outcome(profile, spec, out) == pytest.approx(
                 eval_point(profile, spec, y), abs=1e-12
             )
+
+
+def _left_fold(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_lottery_sums_are_left_folds():
+    # Every sum over this lottery's support rounds differently when compensated,
+    # as `math.fsum` is and as `sum()` is from Python 3.12 on.
+    profile = build_profile([(-0.394, 1), (-1.608, 2), (-0.711, 3)], 3)
+    outcome = rm(profile)
+    assert outcome == nrm(profile) and len(outcome.support) == 3  # singleton groups
+    x = -0.711
+    costs = [p * abs(pt - x) for pt, p in outcome.support]
+    assert math.fsum(costs) != _left_fold(costs)
+    assert agent_cost(outcome, x) == _left_fold(costs)
+    specs = (MTGC, MAGC, IIF1, IIF2)
+    want = []
+    for spec in specs:
+        terms = [p * eval_point(profile, spec, pt) for pt, p in outcome.support]
+        assert math.fsum(terms) != _left_fold(terms)
+        want.append(_left_fold(terms))
+    assert [eval_outcome(profile, spec, outcome) for spec in specs] == want
+    assert eval_outcomes(profile, specs, outcome) == want
 
 
 @given(grouped_profiles(), ys, ys)
