@@ -216,30 +216,30 @@ def _audit_sets(
     plans: dict[float, list[tuple[float, list[int]]]] = {}
     # Per (location, group) pairs moved: where that set's findings lie in each mechanism's list.
     done: dict[tuple[tuple[float, int], ...], list[tuple[int, int]]] = {}
-    pairs = profile.raw()
+    pairs, new = profile.raw(), object.__new__
     for deviators in deviator_sets:
         key = tuple([pairs[i] for i in deviators])
         spans = done.get(key)
         if spans is not None:
             # A twin of an audited set: its findings, with these deviators.
             for found, (start, stop) in zip(findings, spans):
-                found.extend(
-                    [
-                        AuditFinding(deviators, f.true_location, f.misreport, f.truthful_cost, f.deviating_cost)
-                        for f in found[start:stop]
-                    ]
-                )
+                for f in found[start:stop]:
+                    twin = new(AuditFinding)
+                    twin.__dict__.update(f.__dict__, deviators=deviators)
+                    found.append(twin)
             continue
         starts = [len(found) for found in findings]
         true_loc = profile.locations[deviators[0]]
         plan = plans.get(true_loc)
         if plan is None:
-            complete = set(threshold_candidates(profile, deviators[0])) if rules else set()
-            grid = set(misreport_candidates(profile, deviators[0], resolution)) if callables else set()
-            plan = plans[true_loc] = [
-                (cand, callables if cand not in complete else rules if cand not in grid else both)
-                for cand in sorted(complete | grid)
-            ]
+            # Both candidate lists ascend. The marks keep the grid's order, and a
+            # threshold off the grid goes in after it, so only then is a sort needed.
+            first = deviators[0]
+            marks = dict.fromkeys(misreport_candidates(profile, first, resolution) if callables else (), callables)
+            grid = len(marks)
+            for cand in threshold_candidates(profile, first) if rules else ():
+                marks[cand] = both if cand in marks else rules
+            plan = plans[true_loc] = sorted(marks.items()) if 0 < grid < len(marks) else list(marks.items())
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         limits = [t_cost - VIOLATION_TOL for t_cost in t_costs]
         deviate = profile.deviations(deviators)
@@ -256,9 +256,16 @@ def _audit_sets(
                     for pt, p in support:
                         d_cost += p * abs(pt - true_loc)
                 if d_cost < limits[k]:
-                    findings[k].append(
-                        AuditFinding(deviators, true_loc, cand, t_costs[k], d_cost)
+                    # This test is the constructor's check, so the finding is written directly.
+                    finding = new(AuditFinding)
+                    finding.__dict__.update(
+                        deviators=deviators,
+                        true_location=true_loc,
+                        misreport=cand,
+                        truthful_cost=t_costs[k],
+                        deviating_cost=d_cost,
                     )
+                    findings[k].append(finding)
         done[key] = [(start, len(found)) for start, found in zip(starts, findings)]
     return findings
 

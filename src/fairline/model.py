@@ -141,21 +141,35 @@ class GroupedProfile:
             rest_locs = rest_locs[: i - k] + rest_locs[i - k + 1 :]
             spot = bisect_left(rest[g - 1], x)
             rest[g - 1] = rest[g - 1][:spot] + rest[g - 1][spot + 1 :]
-        # Per deviator group: (its index in `group_locations`, unchanged members, deviator count).
-        moved = [(g - 1, rest[g - 1], count) for g, count in counts.items()]
-        group_locations, group_sizes, size = self.group_locations, self.group_sizes, len(movers)
+        # The stretches of `group_locations` before, between and after the
+        # deviators' groups, which every deviated profile shares.
+        groups, order = self.group_locations, sorted(counts)
+        head = groups[: order[0] - 1] if order else groups
+        ends = [g - 1 for g in order[1:]] + [len(groups)]
+        # Per deviator group, in group order: unchanged members, deviator count, the stretch after it.
+        moved = [(rest[g - 1], counts[g], groups[g:end]) for g, end in zip(order, ends)]
+        group_sizes, size, new = self.group_sizes, len(movers), object.__new__
 
         def deviated(location: float) -> GroupedProfile:
-            report = _location(location)
+            # One test for a finite float: x - x is NaN for NaN and the infinities.
+            if type(location) is float and location - location == 0.0:
+                report = location + 0.0
+            else:
+                report = _location(location)
             reports = (report,) * size
             spot = bisect_left(rest_locs, report)
-            locs = rest_locs[:spot] + reports + rest_locs[spot:]
-            views = list(group_locations)
-            for j, members, count in moved:
-                spot = bisect_left(members, report)
+            views = head
+            for members, count, after in moved:
+                at = bisect_left(members, report)
                 # `reports` itself, unsliced, when every deviator is in this group.
-                views[j] = members[:spot] + reports[:count] + members[spot:]
-            return _set_views(object.__new__(GroupedProfile), tuple(views), locs, group_sizes)
+                views += (members[:at] + reports[:count] + members[at:],) + after
+            profile = new(GroupedProfile)
+            # As `_set_views` writes the views, without its call.
+            written = profile.__dict__
+            written["group_locations"] = views
+            written["locations"] = rest_locs[:spot] + reports + rest_locs[spot:]
+            written["group_sizes"] = group_sizes
+            return profile
 
         return deviated
 
@@ -223,8 +237,12 @@ def _set_views(
     locations: tuple[float, ...],
     group_sizes: tuple[int, ...],
 ) -> GroupedProfile:
-    # A frozen dataclass refuses `setattr`; its instance dict does not.
-    profile.__dict__.update(group_locations=group_locations, locations=locations, group_sizes=group_sizes)
+    # A frozen dataclass refuses `setattr`; its instance dict does not. Item
+    # stores are quicker than one `update` with keywords.
+    views = profile.__dict__
+    views["group_locations"] = group_locations
+    views["locations"] = locations
+    views["group_sizes"] = group_sizes
     return profile
 
 
@@ -292,9 +310,13 @@ class FacilityOutcome:
         A single point with probability 1.0 can fail only the finiteness
         check, so that is the only one made here.
         """
-        pt = float(point)
-        if not math.isfinite(pt):
-            raise OutcomeError(f"support point must be finite, got {pt!r}")
+        # One test for a finite float, as in `GroupedProfile.deviations`.
+        if type(point) is float and point - point == 0.0:
+            pt = point
+        else:
+            pt = float(point)
+            if not math.isfinite(pt):
+                raise OutcomeError(f"support point must be finite, got {pt!r}")
         out = object.__new__(cls)
         # The frozen dataclass refuses `setattr`; its instance dict does not,
         # and writing it is quicker than `object.__setattr__`.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,35 @@ def test_nonfinite_report_rejected_with_no_deviator(report):
     profile = build_profile([(0, 1), (1, 1)], 1)
     with pytest.raises(InvalidLocationError):
         profile.deviations(())(report)
+
+
+class _OffByOne(float):
+    """A float whose own addition is wrong: a path that added to it as to a float would show it."""
+
+    def __add__(self, other):
+        return float(self) + other + 1.0
+
+
+# Reports that are not plain floats: the path converts them as `build_profile` does.
+OTHER_REPORTS = [0, 3, -2, True, False, Fraction(1, 3), Fraction(-7, 2), _OffByOne(0.5), _OffByOne(-0.0)]
+
+
+@pytest.mark.parametrize("report", OTHER_REPORTS, ids=repr)
+def test_reports_of_other_types_match_rebuild(report):
+    # Sorted pairs (0,1) (1,2) (1,2) (2,3) (3,1): (1, 2) is one group's, (0, 3) two groups'.
+    profile = build_profile([(3, 1), (1, 2), (0, 1), (2, 3), (1, 2)], 3)
+    for indices in [(1, 2), (4,), (0, 3), (0, 1, 3), ()]:
+        got = profile.deviations(indices)(report)
+        _assert_same(got, _rebuilt(profile, indices, report), (indices, report))
+        assert all(type(x) is float for x in got.locations), (indices, report)
+        assert all(type(x) is float for members in got.group_locations for x in members), (indices, report)
+
+
+@pytest.mark.parametrize("indices", [(1, 2), (0, 3), ()])
+def test_int_past_the_float_range_rejected(indices):
+    profile = build_profile([(3, 1), (1, 2), (0, 1), (2, 3), (1, 2)], 3)
+    with pytest.raises(InvalidLocationError):
+        profile.deviations(indices)(10**400)
 
 
 def _zero_signs(profile) -> set[float]:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -174,6 +176,26 @@ class TestMechanismId:
         p = tight_largest_group_total()
         assert parse_mechanism("mgdm").apply(p) == mgdm(p)
         assert parse_mechanism("kldm:1").apply(p) == ldm(p)
+
+    def test_stored_rule_is_not_a_field(self):
+        mech = MechanismId("kldm", 3)
+        assert [f.name for f in dataclasses.fields(mech)] == ["tag", "param"]
+        assert dataclasses.asdict(mech) == {"tag": "kldm", "param": 3}
+        assert mech == MechanismId("kldm", 3) and mech != MechanismId("kldm", 2) and mech != MechanismId("mog", 3)
+        assert hash(mech) == hash(MechanismId("kldm", 3)) == hash(("kldm", 3))
+        assert repr(mech) == "MechanismId(tag='kldm', param=3)"
+        assert repr(MechanismId("mdm")) == "MechanismId(tag='mdm', param=None)"
+
+    def test_replace_and_pickle_keep_the_rule(self):
+        p = tight_largest_group_total()
+        assert dataclasses.replace(MechanismId("kldm", 3), param=1).apply(p) == ldm(p)
+        assert dataclasses.replace(MechanismId("mdm"), tag="mgdm").apply(p) == mgdm(p)
+        with pytest.raises(ValueError):
+            dataclasses.replace(MechanismId("mdm"), tag="nope")
+        for mech in [*ALL_RULES, MechanismId("mog", 2), MechanismId("kldm", 2)]:
+            loaded = pickle.loads(pickle.dumps(mech))
+            assert loaded == mech and hash(loaded) == hash(mech) and repr(loaded) == repr(mech)
+            assert loaded.apply(p) == mech.apply(p)
 
 
 ALL_RULES = [

@@ -152,6 +152,26 @@ class TestOutcome:
             assert math.copysign(1.0, out.point) == math.copysign(1.0, x)
             assert out.is_deterministic
 
+    @pytest.mark.parametrize("point", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_nonfinite_float_rejected_with_outcome_error(self, point):
+        with pytest.raises(OutcomeError):
+            FacilityOutcome.at(point)
+
+    def test_negative_zero_kept(self):
+        assert math.copysign(1.0, FacilityOutcome.at(-0.0).point) == -1.0
+
+    def test_other_numbers_become_plain_floats(self):
+        class Sub(float):
+            pass
+
+        for x, want in [(3, 3.0), (True, 1.0), (Sub(2.5), 2.5)]:
+            support = FacilityOutcome.at(x).support
+            assert support == ((want, 1.0),) and type(support[0][0]) is float
+
+    def test_int_past_the_float_range_overflows(self):
+        with pytest.raises(OverflowError):
+            FacilityOutcome.at(10**400)
+
     def test_three_point_equals_validated_lottery(self):
         rng = random.Random(4)
         for left, right in [(0.0, 1.0), (-0.0, 5e-324 * 4), (-1.7e308, 1.7e308)] + [
