@@ -94,6 +94,26 @@ class AuditFinding:
             deviating_cost=deviating_cost,
         )
 
+    @classmethod
+    def _unchecked(
+        cls,
+        deviators: tuple[int, ...],
+        true_location: float,
+        misreport: float,
+        truthful_cost: float,
+        deviating_cost: float,
+    ) -> "AuditFinding":
+        """A finding built without the strictness check, for a caller that has just made it."""
+        finding = object.__new__(cls)
+        finding.__dict__.update(
+            deviators=deviators,
+            true_location=true_location,
+            misreport=misreport,
+            truthful_cost=truthful_cost,
+            deviating_cost=deviating_cost,
+        )
+        return finding
+
 
 @dataclass(frozen=True)
 class ProbeVerdict:
@@ -145,8 +165,28 @@ def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float]]
 
 
 def _candidates(points: set[float], own: float) -> list[float]:
+    """The points, strictly ascending, none within MERGE_TOL of the last kept or of `own`.
+
+    `_plan` relies on both candidate lists being strictly ascending.
+    """
     # Drop the points at the true location first, so none of them absorbs a candidate.
     return _merge_close(sorted(p for p in points if abs(p - own) > MERGE_TOL))
+
+
+def _plan(
+    grid: list[float], complete: list[float], on_grid: list[int], on_complete: list[int], on_both: list[int]
+) -> list[tuple[float, list[int]]]:
+    """Every candidate of `grid` or `complete`, ascending, with the mechanisms audited on the lists it is in.
+
+    Both lists must be strictly ascending, as `_candidates` returns them: the
+    marks keep the grid's order, and a candidate only in `complete` goes in
+    after it, so only then is a sort needed. The result equals sorting the
+    union of the two lists as sets.
+    """
+    marks = dict.fromkeys(grid, on_grid)
+    for cand in complete:
+        marks[cand] = on_both if cand in marks else on_complete
+    return sorted(marks.items()) if 0 < len(grid) < len(marks) else list(marks.items())
 
 
 def threshold_candidates(profile: GroupedProfile, agent: int) -> list[float]:
@@ -216,30 +256,28 @@ def _audit_sets(
     plans: dict[float, list[tuple[float, list[int]]]] = {}
     # Per (location, group) pairs moved: where that set's findings lie in each mechanism's list.
     done: dict[tuple[tuple[float, int], ...], list[tuple[int, int]]] = {}
-    pairs, new = profile.raw(), object.__new__
+    pairs, unchecked = profile.raw(), AuditFinding._unchecked
     for deviators in deviator_sets:
         key = tuple([pairs[i] for i in deviators])
         spans = done.get(key)
         if spans is not None:
             # A twin of an audited set: its findings, with these deviators.
             for found, (start, stop) in zip(findings, spans):
-                for f in found[start:stop]:
-                    twin = new(AuditFinding)
-                    twin.__dict__.update(f.__dict__, deviators=deviators)
-                    found.append(twin)
+                found.extend(
+                    [
+                        unchecked(deviators, f.true_location, f.misreport, f.truthful_cost, f.deviating_cost)
+                        for f in found[start:stop]
+                    ]
+                )
             continue
         starts = [len(found) for found in findings]
         true_loc = profile.locations[deviators[0]]
         plan = plans.get(true_loc)
         if plan is None:
-            # Both candidate lists ascend. The marks keep the grid's order, and a
-            # threshold off the grid goes in after it, so only then is a sort needed.
             first = deviators[0]
-            marks = dict.fromkeys(misreport_candidates(profile, first, resolution) if callables else (), callables)
-            grid = len(marks)
-            for cand in threshold_candidates(profile, first) if rules else ():
-                marks[cand] = both if cand in marks else rules
-            plan = plans[true_loc] = sorted(marks.items()) if 0 < grid < len(marks) else list(marks.items())
+            grid = misreport_candidates(profile, first, resolution) if callables else []
+            complete = threshold_candidates(profile, first) if rules else []
+            plan = plans[true_loc] = _plan(grid, complete, callables, rules, both)
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         limits = [t_cost - VIOLATION_TOL for t_cost in t_costs]
         deviate = profile.deviations(deviators)
@@ -256,16 +294,8 @@ def _audit_sets(
                     for pt, p in support:
                         d_cost += p * abs(pt - true_loc)
                 if d_cost < limits[k]:
-                    # This test is the constructor's check, so the finding is written directly.
-                    finding = new(AuditFinding)
-                    finding.__dict__.update(
-                        deviators=deviators,
-                        true_location=true_loc,
-                        misreport=cand,
-                        truthful_cost=t_costs[k],
-                        deviating_cost=d_cost,
-                    )
-                    findings[k].append(finding)
+                    # This test is the constructor's check.
+                    findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
         done[key] = [(start, len(found)) for start, found in zip(starts, findings)]
     return findings
 

@@ -133,25 +133,20 @@ class MechanismId:
     """A mechanism tag plus its parameter, if the rule takes one.
 
     `kldm` carries k (validated against n when applied); `mog` carries the
-    group index j. All other tags take no parameter. The rule's function is
-    stored when the id is made, outside the fields, so equality, hashing and
-    `repr` see only the tag and parameter.
+    group index j. All other tags take no parameter.
     """
 
     tag: str
     param: int | None = None
 
     def __post_init__(self) -> None:
-        rule = _RULES.get(self.tag)
-        if rule is None:
+        if self.tag not in _RULES:
             raise ValueError(f"unknown mechanism tag {self.tag!r}")
-        if rule.takes_param:
+        if _RULES[self.tag].takes_param:
             if self.param is None or self.param < 1:
                 raise ValueError(f"mechanism {self.tag!r} needs a positive parameter")
         elif self.param is not None:
             raise ValueError(f"mechanism {self.tag!r} takes no parameter")
-        # A frozen dataclass refuses `setattr`; its instance dict does not.
-        self.__dict__["_fn"] = rule.fn
 
     @property
     def label(self) -> str:
@@ -159,8 +154,8 @@ class MechanismId:
 
     def apply(self, profile: GroupedProfile) -> FacilityOutcome:
         """The rule's outcome on `profile`; every call of a built-in rule goes through here."""
-        param = self.param
-        return self._fn(profile) if param is None else self._fn(profile, param)
+        fn = _RULES[self.tag].fn
+        return fn(profile) if self.param is None else fn(profile, self.param)
 
 
 MechanismLike = Union[MechanismId, Callable[[GroupedProfile], FacilityOutcome]]

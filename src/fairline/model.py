@@ -148,28 +148,19 @@ class GroupedProfile:
         ends = [g - 1 for g in order[1:]] + [len(groups)]
         # Per deviator group, in group order: unchanged members, deviator count, the stretch after it.
         moved = [(rest[g - 1], counts[g], groups[g:end]) for g, end in zip(order, ends)]
-        group_sizes, size, new = self.group_sizes, len(movers), object.__new__
+        group_sizes, size = self.group_sizes, len(movers)
 
         def deviated(location: float) -> GroupedProfile:
-            # One test for a finite float: x - x is NaN for NaN and the infinities.
-            if type(location) is float and location - location == 0.0:
-                report = location + 0.0
-            else:
-                report = _location(location)
+            report = _location(location)
             reports = (report,) * size
             spot = bisect_left(rest_locs, report)
+            locs = rest_locs[:spot] + reports + rest_locs[spot:]
             views = head
             for members, count, after in moved:
-                at = bisect_left(members, report)
+                spot = bisect_left(members, report)
                 # `reports` itself, unsliced, when every deviator is in this group.
-                views += (members[:at] + reports[:count] + members[at:],) + after
-            profile = new(GroupedProfile)
-            # As `_set_views` writes the views, without its call.
-            written = profile.__dict__
-            written["group_locations"] = views
-            written["locations"] = rest_locs[:spot] + reports + rest_locs[spot:]
-            written["group_sizes"] = group_sizes
-            return profile
+                views += (members[:spot] + reports[:count] + members[spot:],) + after
+            return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes)
 
         return deviated
 
@@ -237,8 +228,9 @@ def _set_views(
     locations: tuple[float, ...],
     group_sizes: tuple[int, ...],
 ) -> GroupedProfile:
-    # A frozen dataclass refuses `setattr`; its instance dict does not. Item
-    # stores are quicker than one `update` with keywords.
+    # A frozen dataclass refuses `setattr`; its instance dict does not. Every
+    # deviated profile goes through here, and item stores are quicker than one
+    # `update` with keywords, which builds a dict of its own first.
     views = profile.__dict__
     views["group_locations"] = group_locations
     views["locations"] = locations
@@ -310,13 +302,9 @@ class FacilityOutcome:
         A single point with probability 1.0 can fail only the finiteness
         check, so that is the only one made here.
         """
-        # One test for a finite float, as in `GroupedProfile.deviations`.
-        if type(point) is float and point - point == 0.0:
-            pt = point
-        else:
-            pt = float(point)
-            if not math.isfinite(pt):
-                raise OutcomeError(f"support point must be finite, got {pt!r}")
+        pt = float(point)
+        if not math.isfinite(pt):
+            raise OutcomeError(f"support point must be finite, got {pt!r}")
         out = object.__new__(cls)
         # The frozen dataclass refuses `setattr`; its instance dict does not,
         # and writing it is quicker than `object.__setattr__`.

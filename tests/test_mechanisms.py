@@ -177,7 +177,7 @@ class TestMechanismId:
         assert parse_mechanism("mgdm").apply(p) == mgdm(p)
         assert parse_mechanism("kldm:1").apply(p) == ldm(p)
 
-    def test_stored_rule_is_not_a_field(self):
+    def test_identity_is_tag_and_param(self):
         mech = MechanismId("kldm", 3)
         assert [f.name for f in dataclasses.fields(mech)] == ["tag", "param"]
         assert dataclasses.asdict(mech) == {"tag": "kldm", "param": 3}
