@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .families import balanced_split_pair, singleton_pair
@@ -59,12 +60,15 @@ class ConstructionInapplicableError(ValueError):
     """The probed mechanism placed the facility outside the construction's case analysis."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AuditFinding:
     """A witness misreport that strictly reduces the deviators' expected cost.
 
     `deviators` holds one index for an individual deviation or several for a
-    colocated set; all deviators share `true_location`.
+    colocated set; all deviators share `true_location`. The constructor, and
+    so `dataclasses.replace`, raises ValueError unless `deviating_cost` is
+    below `truthful_cost` by more than VIOLATION_TOL. The audit's own loop
+    makes that test itself and builds its findings with `_unchecked`.
     """
 
     deviators: tuple[int, ...]
@@ -73,26 +77,9 @@ class AuditFinding:
     truthful_cost: float
     deviating_cost: float
 
-    def __init__(
-        self,
-        deviators: tuple[int, ...],
-        true_location: float,
-        misreport: float,
-        truthful_cost: float,
-        deviating_cost: float,
-    ) -> None:
-        if not deviating_cost < truthful_cost - VIOLATION_TOL:
+    def __post_init__(self) -> None:
+        if not self.deviating_cost < self.truthful_cost - VIOLATION_TOL:
             raise ValueError("a finding must be a strict violation")
-        # One write to the instance dict, which a frozen dataclass allows: its
-        # generated __init__ sets each field through `object.__setattr__`,
-        # which took about half again as long per finding.
-        self.__dict__.update(
-            deviators=deviators,
-            true_location=true_location,
-            misreport=misreport,
-            truthful_cost=truthful_cost,
-            deviating_cost=deviating_cost,
-        )
 
     @classmethod
     def _unchecked(
@@ -149,19 +136,23 @@ class ProbeVerdict:
         return self.kind == "inconclusive"
 
 
-def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float]]:
-    """The deviator's true location, and every report at which a built-in rule's output or cost can kink.
+def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float], float, float]:
+    """The true location, the reports where a built-in rule's output or cost can kink, and the widened span's ends.
 
-    Those are the agents' locations, which hold every group median, and
-    their reflections about the true location. The true location is among
-    them; `_candidates` drops it.
+    The reports are the agents' locations, which hold every group median,
+    and their reflections about the true location. The true location is
+    among them; `_candidates` drops it. The widened span is the agents' span
+    with one span-width more on each side, given as its two ends. Raises
+    IndexError for an agent outside 0..n-1.
     """
     if not 0 <= agent < profile.n:
         raise IndexError(f"agent index {agent} outside 0..{profile.n - 1}")
     own = profile.locations[agent]
     points = set(profile.locations)
     points.update([2.0 * own - c for c in points])
-    return own, points
+    x1, xn = profile.span
+    width = xn - x1
+    return own, points, x1 - width, xn + width
 
 
 def _candidates(points: set[float], own: float) -> list[float]:
@@ -197,10 +188,8 @@ def threshold_candidates(profile: GroupedProfile, agent: int) -> list[float]:
     the true location, which it excludes, a built-in rule's cost to the
     deviator is affine.
     """
-    own, points = _thresholds(profile, agent)
-    x1, xn = profile.span
-    width = xn - x1
-    points.update((x1 - width, xn + width))
+    own, points, lo, hi = _thresholds(profile, agent)
+    points.update((lo, hi))
     return _candidates(points, own)
 
 
@@ -212,12 +201,9 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
     uniform points over the span widened by one span-width on each side (its
     left end alone when `resolution` is 1).
     """
-    own, points = _thresholds(profile, agent)
+    own, points, lo, hi = _thresholds(profile, agent)
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    x1, xn = profile.span
-    width = xn - x1
-    lo, hi = x1 - width, xn + width
     if resolution == 1:
         points.add(lo)
     else:
@@ -228,14 +214,7 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
 
 def _colocated_sets(profile: GroupedProfile) -> list[tuple[int, ...]]:
     """Maximal sets of agents sharing a location, group labels disregarded."""
-    sets: list[tuple[int, ...]] = []
-    start = 0
-    locs = profile.locations
-    for i in range(1, profile.n + 1):
-        if i == profile.n or locs[i] != locs[start]:
-            sets.append(tuple(range(start, i)))
-            start = i
-    return sets
+    return [tuple(agents) for _, agents in groupby(range(profile.n), key=profile.locations.__getitem__)]
 
 
 def _audit_sets(

@@ -178,11 +178,13 @@ def scaled_in_range(profile: GroupedProfile, y: float = 0.0) -> tuple[GroupedPro
 
     Rounding at that bound may give one more. k is 0, and `profile` comes
     back as it is, unless a coordinate (or the point `y`) lies within a
-    factor of 16·n of the float maximum. Every objective is positively
-    homogeneous, of degree 1 or, for alt form "b"'s ratio, 0, and scaling by
-    a power of two is exact in floats away from subnormals, so work done on
-    the scaled profile, at y times 2^-k, scaled back by 2^k, is the work done
-    on `profile` without its overflow.
+    factor of 16·n of the float maximum. Otherwise k is searched upward from
+    1; |y| and every |x| are at most the float maximum, so k is at most
+    about log2(16·n) + 1. Every objective is positively homogeneous, of
+    degree 1 or, for alt form "b"'s ratio, 0, and scaling by a power of two
+    is exact in floats away from subnormals, so work done on the scaled
+    profile, at y times 2^-k, scaled back by 2^k, is the work done on
+    `profile` without its overflow.
     """
     locs = profile.locations
     n = len(locs)
@@ -194,9 +196,7 @@ def scaled_in_range(profile: GroupedProfile, y: float = 0.0) -> tuple[GroupedPro
     if not math.isfinite(y):
         return profile, 0  # no scaling moves a point at an infinity, or NaN, into range
     top = max(-locs[0], locs[-1], abs(y))
-    # n·top >= 2^(e + b - 2) for top in [2^(e-1), 2^e) and n of b bits, and
-    # _IN_RANGE < 2^1020: no k below e + b - 1021 can do.
-    k = max(math.frexp(top)[1] + n.bit_length() - 1021, 1)
+    k = 1
     while n * math.ldexp(top, -k) > _IN_RANGE:
         k += 1
     return GroupedProfile(tuple(tuple(math.ldexp(x, -k) for x in g) for g in profile.group_locations)), k
@@ -349,13 +349,10 @@ class FacilityOutcome:
 
 def agent_cost(outcome: FacilityOutcome, location: float) -> float:
     """Expected distance from `location` to the facility under `outcome`."""
-    support = outcome.support
-    if len(support) == 1:
-        pt, p = support[0]
-        return p * abs(pt - location)
     # A left fold from 0.0, which `sum()` is on Python 3.11 and before; from
     # 3.12 `sum()` compensates, and its last bit would depend on the interpreter.
+    # On one point the fold gives p·|pt - location| itself, +0.0 included.
     cost = 0.0
-    for pt, p in support:
+    for pt, p in outcome.support:
         cost += p * abs(pt - location)
     return cost

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,11 @@ class TestMisreportCandidates:
             audit.threshold_candidates(singleton_pair(), 2)
         with pytest.raises(ValueError):
             sp_audit(parse_mechanism("mdm"), singleton_pair(), 0)
+
+    def test_bad_index_is_reported_before_a_bad_resolution(self):
+        for agent in (5, -1):
+            with pytest.raises(IndexError):
+                misreport_candidates(singleton_pair(), agent, 0)
 
     def test_grid_candidates_are_pinned(self):
         # Black-box rules keep their candidate lists bit for bit; this digest pins them.
@@ -172,6 +178,18 @@ class TestGroupSpAudit:
         assert group_sp_audit(mean_mechanism, p, 101) == []
         assert calls == []
 
+    def test_colocated_sets_match_a_brute_force_grouping(self):
+        rng = random.Random(32)
+        mixed = 0
+        for _ in range(300):
+            profile = build_profile(*_twinned_pairs(rng))
+            locs = profile.locations
+            want = sorted({tuple([i for i in range(profile.n) if locs[i] == x]) for x in locs})
+            assert audit._colocated_sets(profile) == want, profile.raw()
+            raw = profile.raw()
+            mixed += any(len({raw[i][1] for i in s}) > 1 for s in want)
+        assert mixed  # some sets hold agents of two or more groups
+
     def test_colocated_set_finding_spans_the_set(self):
         # Mean rule: both colocated agents at 1 gain by jointly exaggerating.
         p = build_profile([(0, 1), (1, 2), (1, 2)], 2)
@@ -251,9 +269,45 @@ class TestTwins:
 
 
 class TestAuditFinding:
+    FIELDS = ("deviators", "true_location", "misreport", "truthful_cost", "deviating_cost")
+    ARGS = ((0, 2), 0.5, 1.0, 0.75, 0.25)
+
     def test_rejects_non_strict_violation(self):
         with pytest.raises(ValueError):
             AuditFinding((0,), 0.0, 1.0, truthful_cost=0.5, deviating_cost=0.5)
+        with pytest.raises(ValueError, match="a finding must be a strict violation"):
+            AuditFinding((0,), 0.0, 1.0, truthful_cost=0.5, deviating_cost=0.5 - 1e-9)
+
+    def test_positional_and_keyword_construction_agree(self):
+        finding = AuditFinding(*self.ARGS)
+        assert AuditFinding(**dict(zip(self.FIELDS, self.ARGS))) == finding
+        assert tuple(f.name for f in dataclasses.fields(finding)) == self.FIELDS
+        assert dataclasses.astuple(finding) == self.ARGS
+
+    def test_equality_hash_and_repr(self):
+        finding = AuditFinding(*self.ARGS)
+        twin = AuditFinding(*self.ARGS)
+        assert finding == twin and hash(finding) == hash(twin)
+        assert finding != AuditFinding((1,), *self.ARGS[1:])
+        assert repr(finding) == (
+            "AuditFinding(deviators=(0, 2), true_location=0.5, misreport=1.0, "
+            "truthful_cost=0.75, deviating_cost=0.25)"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            finding.misreport = 2.0
+
+    def test_replace_and_pickle(self):
+        finding = AuditFinding(*self.ARGS)
+        assert dataclasses.replace(finding, deviators=(1,)) == AuditFinding((1,), *self.ARGS[1:])
+        with pytest.raises(ValueError, match="strict violation"):
+            dataclasses.replace(finding, deviating_cost=0.75)
+        restored = pickle.loads(pickle.dumps(finding))
+        assert restored == finding and repr(restored) == repr(finding)
+
+    def test_unchecked_equals_the_constructor_on_a_strict_finding(self):
+        built, checked = AuditFinding._unchecked(*self.ARGS), AuditFinding(*self.ARGS)
+        assert type(built) is AuditFinding
+        assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
 
 
 class TestLowerBoundProbe:

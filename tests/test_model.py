@@ -214,7 +214,11 @@ class TestOutcome:
 
 class TestAgentCost:
     def test_zero_distance(self):
-        assert agent_cost(FacilityOutcome.at(0.0), 0.0) == 0.0
+        # +0.0, whatever the signs of zero on either side.
+        for pt, x in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.5, 1.5), (-2e-300, -2e-300)):
+            for out in (FacilityOutcome.at(pt), FacilityOutcome(((pt, sum([0.1] * 10)),))):
+                cost = agent_cost(out, x)
+                assert cost == 0.0 and math.copysign(1.0, cost) == 1.0, (pt, x)
 
     def test_three_point_lottery(self):
         out = FacilityOutcome.lottery([(0.0, 0.25), (1.0, 0.25), (0.5, 0.5)])
@@ -230,6 +234,18 @@ class TestAgentCost:
                 generic = sum(q * abs(y - x) for y, q in out.support)
                 assert agent_cost(out, x).hex() == generic.hex()
                 assert agent_cost(out, pt) == 0.0
+
+    def test_matches_a_left_fold(self):
+        rng = random.Random(6)
+        for _ in range(3000):
+            x = rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-12, 12)
+            points = {rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-12, 12) for _ in range(rng.randint(1, 4))}
+            weights = [rng.random() + 0.01 for _ in points]
+            out = FacilityOutcome.lottery([(pt, w / sum(weights)) for pt, w in zip(points, weights)])
+            fold = 0.0
+            for pt, p in out.support:
+                fold += p * abs(pt - x)
+            assert agent_cost(out, x).hex() == fold.hex()
 
     def test_symmetric_pair(self):
         out = FacilityOutcome.lottery([(0.0, 0.5), (2.0, 0.5)])

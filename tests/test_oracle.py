@@ -178,6 +178,13 @@ class TestOverflow:
             assert 16 * profile.n * math.ldexp(top, 1 - k) > sys.float_info.max
             assert scaled.raw() == [(math.ldexp(x, -k), g) for x, g in profile.raw()]
 
+    def test_the_least_power_can_be_one(self):
+        # 16 * 2 * 1e307 is past the float maximum, and half of it is not.
+        small = build_profile([(-3.0, 1), (5.0, 2)], 2)
+        assert scaled_in_range(small, 1e307)[1] == 1
+        scaled, k = scaled_in_range(build_profile([(-1e307, 1), (5.0, 2)], 2))
+        assert k == 1 and scaled.raw() == [(-5e306, 1), (2.5, 2)]
+
     def test_points_at_an_infinity_or_nan_are_not_scaled(self):
         # No power of two brings such a point into range; it reads what it
         # reads on the profile itself.
