@@ -21,9 +21,17 @@ one audit call computes each true location's candidates once, each paired
 with the mechanisms it is tried on, and the deviator sets at that location
 share them. Each deviator set gets one deviation path,
 `GroupedProfile.deviations`: the deviators are taken out of the truthful
-profile once, and each candidate in the union of both sets is spliced back
-in as their report, not rebuilt. The deviated profile is shared across the
-audited mechanisms and equals the one `build_profile` would give.
+profile once, and the path keeps what is left. Built-in rules are applied
+only to the truthful profile; at each of their candidates the audit converts
+the report, finds where it goes among the other agents once, and each rule's
+path reader (`MechanismId.path_reader`) reads its outcome off the path with
+no profile built. Only at the candidates of black-box callables is the
+report spliced into a deviated profile, shared among the callables and equal
+to the one `build_profile` would give.
+
+Near the float maximum, a reflection or a widened end past the float range
+is dropped or clamped to it; a profile whose span width overflows keeps an
+infinite end and is refused with InvalidLocationError.
 
 Twins, deviator sets that move equal (location, group) pairs, are audited
 once. Taking out equal agents leaves equal profiles, views and signs of zero
@@ -39,13 +47,14 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
 from .families import balanced_split_pair, singleton_pair
 from .mechanisms import MechanismId, MechanismLike, as_mechanism_fn
-from .model import MERGE_TOL, GroupedProfile, _merge_close, agent_cost
+from .model import MERGE_TOL, GroupedProfile, _location, _merge_close, agent_cost
 from .objectives import ObjectiveSpec
 from .oracle import ratio
 
@@ -142,17 +151,31 @@ def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float],
     The reports are the agents' locations, which hold every group median,
     and their reflections about the true location. The true location is
     among them; `_candidates` drops it. The widened span is the agents' span
-    with one span-width more on each side, given as its two ends. Raises
-    IndexError for an agent outside 0..n-1.
+    with one span-width more on each side, given as its two ends. A
+    reflection past the float range is dropped, as no finite report reaches
+    it, and an end past it is clamped to the float maximum. Only a span
+    whose width itself overflows keeps an infinite end, which the audit
+    refuses: costs across that span overflow too. Where nothing overflows,
+    the plain arithmetic stands. Raises IndexError for an agent outside
+    0..n-1.
     """
     if not 0 <= agent < profile.n:
         raise IndexError(f"agent index {agent} outside 0..{profile.n - 1}")
     own = profile.locations[agent]
     points = set(profile.locations)
     points.update([2.0 * own - c for c in points])
+    if math.inf in points or -math.inf in points:
+        # 2·own - c overflowed, perhaps in 2·own alone. 2·(own - c/2) rounds
+        # once, as it does, and is finite wherever the reflection is.
+        points = set(profile.locations)
+        points.update([r for c in points if math.isfinite(r := 2.0 * (own - 0.5 * c))])
     x1, xn = profile.span
     width = xn - x1
-    return own, points, x1 - width, xn + width
+    lo, hi = x1 - width, xn + width
+    if width < math.inf and (lo == -math.inf or hi == math.inf):
+        top = math.nextafter(math.inf, 0.0)  # the float maximum
+        lo, hi = max(lo, -top), min(hi, top)
+    return own, points, lo, hi
 
 
 def _candidates(points: set[float], own: float) -> list[float]:
@@ -165,11 +188,16 @@ def _candidates(points: set[float], own: float) -> list[float]:
 
 
 def _plan(
-    grid: list[float], complete: list[float], on_grid: list[int], on_complete: list[int], on_both: list[int]
-) -> list[tuple[float, list[int]]]:
-    """Every candidate of `grid` or `complete`, ascending, with the mechanisms audited on the lists it is in.
+    grid: list[float],
+    complete: list[float],
+    on_grid: tuple[bool, bool],
+    on_complete: tuple[bool, bool],
+    on_both: tuple[bool, bool],
+) -> list[tuple[float, tuple[bool, bool]]]:
+    """Every candidate of `grid` or `complete`, ascending, marked by the lists it is in.
 
-    Both lists must be strictly ascending, as `_candidates` returns them: the
+    A candidate is marked `on_grid`, `on_complete` or `on_both`. Both lists
+    must be strictly ascending, as `_candidates` returns them: the
     marks keep the grid's order, and a candidate only in `complete` goes in
     after it, so only then is a sort needed. The result equals sorting the
     union of the two lists as sets.
@@ -208,7 +236,12 @@ def misreport_candidates(profile: GroupedProfile, agent: int, resolution: int) -
         points.add(lo)
     else:
         step = (hi - lo) / (resolution - 1)
-        points.update(lo + i * step for i in range(resolution))
+        if step == math.inf and -math.inf < lo and hi < math.inf:
+            # Finite ends more than the float maximum apart: step at half scale and double back.
+            half = (0.5 * hi - 0.5 * lo) / (resolution - 1)
+            points.update(min(2.0 * (0.5 * lo + i * half), hi) for i in range(resolution))
+        else:
+            points.update(lo + i * step for i in range(resolution))
     return _candidates(points, own)
 
 
@@ -226,13 +259,13 @@ def _audit_sets(
     if resolution < 1:
         raise ValueError("resolution must be positive")
     fns = [as_mechanism_fn(m) for m in mechanisms]
-    rules = [k for k, m in enumerate(mechanisms) if isinstance(m, MechanismId)]
-    callables = [k for k, m in enumerate(mechanisms) if not isinstance(m, MechanismId)]
-    both = rules + callables
     truthful = [fn(profile) for fn in fns]
+    # Built-in rules read each deviation path; callables get the deviated profile.
+    readers = [(k, m.path_reader(profile)) for k, m in enumerate(mechanisms) if isinstance(m, MechanismId)]
+    callables = [(k, fns[k]) for k, m in enumerate(mechanisms) if not isinstance(m, MechanismId)]
     findings: list[list[AuditFinding]] = [[] for _ in fns]
-    # Per true location: each candidate with the mechanisms it is audited for.
-    plans: dict[float, list[tuple[float, list[int]]]] = {}
+    # Per true location: each candidate, marked (rules audited there, callables audited there).
+    plans: dict[float, list[tuple[float, tuple[bool, bool]]]] = {}
     # Per (location, group) pairs moved: where that set's findings lie in each mechanism's list.
     done: dict[tuple[tuple[float, int], ...], list[tuple[int, int]]] = {}
     pairs, unchecked = profile.raw(), AuditFinding._unchecked
@@ -255,26 +288,34 @@ def _audit_sets(
         if plan is None:
             first = deviators[0]
             grid = misreport_candidates(profile, first, resolution) if callables else []
-            complete = threshold_candidates(profile, first) if rules else []
-            plan = plans[true_loc] = _plan(grid, complete, callables, rules, both)
+            complete = threshold_candidates(profile, first) if readers else []
+            plan = plans[true_loc] = _plan(grid, complete, (False, True), (True, False), (True, True))
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         limits = [t_cost - VIOLATION_TOL for t_cost in t_costs]
         deviate = profile.deviations(deviators)
-        for cand, audited in plan:
-            deviated = deviate(cand)
-            for k in audited:
-                # `agent_cost`, inline: this is the audit's innermost loop.
-                support = fns[k](deviated).support
-                if len(support) == 1:
-                    pt, p = support[0]
-                    d_cost = p * abs(pt - true_loc)
-                else:
+        rest, size, moved = deviate.rest, deviate.size, deviate.moved
+        # Each loop below folds costs as `agent_cost` does, inline: these are
+        # the audit's innermost loops, and one loop over a list of both kinds
+        # of outcome built per candidate measured slower. The `limits` test is
+        # the finding constructor's check.
+        for cand, (at_rules, at_callables) in plan:
+            if at_rules:
+                report = _location(cand)
+                spot = bisect_left(rest, report)
+                for k, read in readers:
                     d_cost = 0.0
-                    for pt, p in support:
+                    for pt, p in read(rest, size, moved, report, spot):
                         d_cost += p * abs(pt - true_loc)
-                if d_cost < limits[k]:
-                    # This test is the constructor's check.
-                    findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
+                    if d_cost < limits[k]:
+                        findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
+            if at_callables:
+                deviated = deviate(cand)
+                for k, fn in callables:
+                    d_cost = 0.0
+                    for pt, p in fn(deviated).support:
+                        d_cost += p * abs(pt - true_loc)
+                    if d_cost < limits[k]:
+                        findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
         done[key] = [(start, len(found)) for start, found in zip(starts, findings)]
     return findings
 

@@ -126,28 +126,36 @@ class GroupedProfile:
         reports, in any order. A report of -0.0 goes in as 0.0, as in every
         profile. A call raises InvalidLocationError if `report` is not
         finite, even when `indices` is empty.
+
+        The path also carries what it takes out, which the built-in rules'
+        path readers (`MechanismId.path_reader`) read instead of a deviated
+        profile: `path.rest`, the other agents' sorted locations;
+        `path.size`, the number of deviators; and `path.moved`, mapping each
+        deviator's group label to that group's other members, sorted, and
+        its deviator count.
         """
         locs = self.locations
         movers = sorted(set(map(range(len(locs)).__getitem__, indices)))
         # Equal locations are identical floats, so a report goes in at any
         # entry equal to it, and a deviator comes out at any entry equal to
         # its location.
-        rest_locs, rest = locs, list(self.group_locations)
+        groups, rest_locs = self.group_locations, locs
         pairs = self.raw() if movers else []
-        counts: dict[int, int] = {}
+        # Per deviator group label: the group's other members and its deviator count.
+        moved: dict[int, tuple[tuple[float, ...], int]] = {}
         for k, i in enumerate(movers):
             x, g = pairs[i]
-            counts[g] = counts.get(g, 0) + 1
+            members, count = moved.get(g, (groups[g - 1], 0))
+            spot = bisect_left(members, x)
+            moved[g] = (members[:spot] + members[spot + 1 :], count + 1)
             rest_locs = rest_locs[: i - k] + rest_locs[i - k + 1 :]
-            spot = bisect_left(rest[g - 1], x)
-            rest[g - 1] = rest[g - 1][:spot] + rest[g - 1][spot + 1 :]
         # The stretches of `group_locations` before, between and after the
         # deviators' groups, which every deviated profile shares.
-        groups, order = self.group_locations, sorted(counts)
+        order = sorted(moved)
         head = groups[: order[0] - 1] if order else groups
         ends = [g - 1 for g in order[1:]] + [len(groups)]
-        # Per deviator group, in group order: unchanged members, deviator count, the stretch after it.
-        moved = [(rest[g - 1], counts[g], groups[g:end]) for g, end in zip(order, ends)]
+        # Per deviator group, in group order: other members, deviator count, the stretch after it.
+        splices = [(*moved[g], groups[g:end]) for g, end in zip(order, ends)]
         group_sizes, size = self.group_sizes, len(movers)
 
         def deviated(location: float) -> GroupedProfile:
@@ -156,12 +164,13 @@ class GroupedProfile:
             spot = bisect_left(rest_locs, report)
             locs = rest_locs[:spot] + reports + rest_locs[spot:]
             views = head
-            for members, count, after in moved:
+            for members, count, after in splices:
                 spot = bisect_left(members, report)
                 # `reports` itself, unsliced, when every deviator is in this group.
                 views += (members[:spot] + reports[:count] + members[spot:],) + after
             return _set_views(object.__new__(GroupedProfile), views, locs, group_sizes)
 
+        deviated.rest, deviated.size, deviated.moved = rest_locs, size, moved
         return deviated
 
 

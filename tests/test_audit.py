@@ -3,6 +3,8 @@ import hashlib
 import math
 import pickle
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +13,7 @@ from fairline import (
     ConstructionInapplicableError,
     FacilityOutcome,
     IIF1,
+    InvalidLocationError,
     MAGC,
     MTGC,
     agent_cost,
@@ -34,6 +37,7 @@ from fairline.families import (
 from conftest import mean_mechanism, random_pairs
 from test_deviation_path import _all_rules, rebuild_audit_sets
 
+MAX = sys.float_info.max
 DETERMINISTIC = ["mdm", "ldm", "kldm:1", "kldm:2", "mgdm", "mogm", "mog:1", "mog:2"]
 
 
@@ -100,6 +104,68 @@ class TestMisreportCandidates:
                     misreport_candidates(p, agent, resolution) for resolution in (1, 7, 101)
                 )
                 assert first.setdefault(x, lists) == lists
+
+
+class TestNearTheFloatMaximum:
+    """Candidates whose plain arithmetic overflows, on profiles whose span width is finite."""
+
+    # A finite span width, with widened ends and reflections past the float range.
+    PROFILES = [
+        [(-6e307, 1), (6e307, 1), (0.0, 2)],
+        [(-8e307, 1), (1e307, 2), (8e307, 1), (8e307, 2)],
+        [(1e308, 1), (1.7e308, 1), (1.2e308, 2), (1.2e308, 1)],
+        [(-1.7e308, 1), (-1.6e308, 2), (5e-324, 1)],
+    ]
+
+    @staticmethod
+    def _widened(profile):
+        x1, xn = profile.span
+        return max(x1 - (xn - x1), -MAX), min(xn + (xn - x1), MAX)
+
+    @pytest.mark.parametrize("pairs", PROFILES)
+    def test_reflections_are_kept_where_finite(self, pairs):
+        profile = build_profile(pairs, 2)
+        for agent, own in enumerate(profile.locations):
+            _, points, lo, hi = audit._thresholds(profile, agent)
+            want = set(profile.locations)
+            for c in profile.locations:
+                try:
+                    want.add(float(2 * Fraction(own) - Fraction(c)))
+                except OverflowError:
+                    pass  # past the float range: no finite report reaches it
+            assert points == want, (pairs, agent)
+            assert (lo, hi) == self._widened(profile), (pairs, agent)
+
+    @pytest.mark.parametrize("pairs", PROFILES)
+    def test_candidates_are_finite_and_span_the_float_range(self, pairs):
+        profile = build_profile(pairs, 2)
+        lo, hi = self._widened(profile)
+        assert -MAX in (lo, hi) or MAX in (lo, hi)
+        for agent in range(profile.n):
+            for cands in [audit.threshold_candidates(profile, agent)] + [
+                misreport_candidates(profile, agent, resolution) for resolution in (1, 2, 7, 101)
+            ]:
+                assert all(math.isfinite(c) for c in cands), (pairs, agent)
+                assert all(a < b for a, b in zip(cands, cands[1:])), (pairs, agent)
+                assert lo <= cands[0] and cands[-1] <= hi, (pairs, agent)
+            grid = misreport_candidates(profile, agent, 101)
+            assert lo in grid and max(grid) > hi * (1 - 1e-15), (pairs, agent)
+
+    @pytest.mark.parametrize("pairs", PROFILES)
+    def test_audits_run_and_match_rebuild(self, pairs):
+        profile = build_profile(pairs, 2)
+        rules = _all_rules(profile)[:-1]  # the mean control's own sum overflows here
+        singles = [(i,) for i in range(profile.n)]
+        assert audit.batch_sp_audit(rules, profile, 7) == rebuild_audit_sets(rules, profile, 7, singles)
+        joint = [s for s in audit._colocated_sets(profile) if len(s) > 1]
+        assert audit.batch_group_sp_audit(rules, profile, 7) == rebuild_audit_sets(rules, profile, 7, joint)
+
+    def test_a_span_wider_than_the_float_range_is_refused(self):
+        # Costs across such a span overflow, so its widened ends stay infinite.
+        profile = build_profile([(-1e308, 1), (1.7e308, 2)], 2)
+        assert audit._thresholds(profile, 0)[2:] == (-math.inf, math.inf)
+        with pytest.raises(InvalidLocationError):
+            sp_audit(parse_mechanism("mdm"), profile, 7)
 
 
 class TestSpAudit:

@@ -93,21 +93,32 @@ class TestEval:
 
     def test_rule_applied_once_to_the_truthful_profile(self, capsys, monkeypatch):
         truthful = load_instance(TIGHT).profile
-        calls = []
-        original = MechanismId.apply
+        calls, reads = [], []
+        original, path_reader = MechanismId.apply, MechanismId.path_reader
 
         def counted(self, profile):
             calls.append(profile == truthful)
             return original(self, profile)
 
+        def counted_reader(self, profile):
+            reader = path_reader(self, profile)
+
+            def read(*args):
+                reads.append(1)
+                return reader(*args)
+
+            return read
+
         monkeypatch.setattr(MechanismId, "apply", counted)
+        monkeypatch.setattr(MechanismId, "path_reader", counted_reader)
         code = run_cli(["eval", str(TIGHT), "--mech", "mgdm", "--obj", "mtgc", "--resolution", "11"])
         assert code == 0
         assert "ratio             3" in capsys.readouterr().out
-        # Once for the report, once for each audit's truthful baseline; every
-        # other call is on a deviated profile.
+        # Once for the report and once for each audit's truthful baseline;
+        # every deviation is read off its path, with no deviated profile.
         assert sum(calls) == 3
-        assert len(calls) > 3
+        assert len(calls) == 3
+        assert len(reads) > 0
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -120,6 +131,15 @@ class TestEval:
         path.write_text('{"schema_version":1,"groups":[[1' + "0" * 400 + ']]}')
         assert run_cli(["eval", str(path), "--mech", "mdm", "--obj", "mtgc"]) == 2
         assert capsys.readouterr().err.startswith("error: agent location must be finite")
+
+    def test_audit_near_the_float_maximum(self, tmp_path, capsys):
+        # The widened span's ends and some reflections pass the float range; the optimum does not.
+        path = tmp_path / "near_max.json"
+        path.write_text('{"schema_version":1,"groups":[[-6e307,6e307],[0.0]]}')
+        assert run_cli(["eval", str(path), "--mech", "mdm", "--obj", "mtgc"]) == 0
+        out = capsys.readouterr().out
+        assert "optimal           1.2e+308 at y=-6e+307" in out
+        assert "audit violations  0" in out
 
     def test_objective_past_the_float_range_exits_two(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"
