@@ -318,6 +318,9 @@ def bound_conformance(
 
     A False result is an escalation artifact, never to be dropped silently:
     it means either an implementation bug or a counterexample to the bound.
+    Raises ValueError for a NaN bound, which no ratio can be checked against.
     """
+    if math.isnan(bound):
+        raise ValueError("bound must not be NaN")
     report = hill_climb(mechanism, spec, config, seed_profiles)
     return report.best_ratio <= bound + 1e-9, report

@@ -17,17 +17,17 @@ Both try a finite set of misreports, chosen per mechanism:
   each side.
 
 Both sets depend only on the deviator's true location and the profile, so
-one audit call computes each true location's candidates once, each paired
-with the mechanisms it is tried on, and the deviator sets at that location
-share them. Each deviator set gets one deviation path,
+one audit call builds each true location's two lists once, and the deviator
+sets at that location share them. Each deviator set gets one deviation path,
 `GroupedProfile.deviations`: the deviators are taken out of the truthful
-profile once, and the path keeps what is left. Built-in rules are applied
-only to the truthful profile; at each of their candidates the audit converts
-the report, finds where it goes among the other agents once, and each rule's
-path reader (`MechanismId.path_reader`) reads its outcome off the path with
-no profile built. Only at the candidates of black-box callables is the
-report spliced into a deviated profile, shared among the callables and equal
-to the one `build_profile` would give.
+profile once, and the path keeps what is left. Two loops then walk it. Built-in
+rules are applied only to the truthful profile; the first loop, over the
+complete list, converts each report, finds where it goes among the other
+agents once, and each rule's path reader (`MechanismId.path_reader`) reads
+its outcome off the path with no profile built. The second loop, over the
+grid, splices each report into a deviated profile, shared among the
+black-box callables and equal to the one `build_profile` would give. Each
+mechanism's findings come in the ascending order of its own list.
 
 Near the float maximum, a reflection or a widened end past the float range
 is dropped or clamped to it; a profile whose span width overflows keeps an
@@ -179,33 +179,9 @@ def _thresholds(profile: GroupedProfile, agent: int) -> tuple[float, set[float],
 
 
 def _candidates(points: set[float], own: float) -> list[float]:
-    """The points, strictly ascending, none within MERGE_TOL of the last kept or of `own`.
-
-    `_plan` relies on both candidate lists being strictly ascending.
-    """
+    """The points, strictly ascending, none within MERGE_TOL of the last kept or of `own`."""
     # Drop the points at the true location first, so none of them absorbs a candidate.
     return _merge_close(sorted(p for p in points if abs(p - own) > MERGE_TOL))
-
-
-def _plan(
-    grid: list[float],
-    complete: list[float],
-    on_grid: tuple[bool, bool],
-    on_complete: tuple[bool, bool],
-    on_both: tuple[bool, bool],
-) -> list[tuple[float, tuple[bool, bool]]]:
-    """Every candidate of `grid` or `complete`, ascending, marked by the lists it is in.
-
-    A candidate is marked `on_grid`, `on_complete` or `on_both`. Both lists
-    must be strictly ascending, as `_candidates` returns them: the
-    marks keep the grid's order, and a candidate only in `complete` goes in
-    after it, so only then is a sort needed. The result equals sorting the
-    union of the two lists as sets.
-    """
-    marks = dict.fromkeys(grid, on_grid)
-    for cand in complete:
-        marks[cand] = on_both if cand in marks else on_complete
-    return sorted(marks.items()) if 0 < len(grid) < len(marks) else list(marks.items())
 
 
 def threshold_candidates(profile: GroupedProfile, agent: int) -> list[float]:
@@ -264,8 +240,8 @@ def _audit_sets(
     readers = [(k, m.path_reader(profile)) for k, m in enumerate(mechanisms) if isinstance(m, MechanismId)]
     callables = [(k, fns[k]) for k, m in enumerate(mechanisms) if not isinstance(m, MechanismId)]
     findings: list[list[AuditFinding]] = [[] for _ in fns]
-    # Per true location: each candidate, marked (rules audited there, callables audited there).
-    plans: dict[float, list[tuple[float, tuple[bool, bool]]]] = {}
+    # Per true location: the readers' candidates and the callables' candidates.
+    plans: dict[float, tuple[list[float], list[float]]] = {}
     # Per (location, group) pairs moved: where that set's findings lie in each mechanism's list.
     done: dict[tuple[tuple[float, int], ...], list[tuple[int, int]]] = {}
     pairs, unchecked = profile.raw(), AuditFinding._unchecked
@@ -287,35 +263,36 @@ def _audit_sets(
         plan = plans.get(true_loc)
         if plan is None:
             first = deviators[0]
-            grid = misreport_candidates(profile, first, resolution) if callables else []
-            complete = threshold_candidates(profile, first) if readers else []
-            plan = plans[true_loc] = _plan(grid, complete, (False, True), (True, False), (True, True))
+            plan = plans[true_loc] = (
+                threshold_candidates(profile, first) if readers else [],
+                misreport_candidates(profile, first, resolution) if callables else [],
+            )
+        complete, grid = plan
         t_costs = [agent_cost(out, true_loc) for out in truthful]
         limits = [t_cost - VIOLATION_TOL for t_cost in t_costs]
         deviate = profile.deviations(deviators)
         rest, size, moved = deviate.rest, deviate.size, deviate.moved
-        # Each loop below folds costs as `agent_cost` does, inline: these are
-        # the audit's innermost loops, and one loop over a list of both kinds
-        # of outcome built per candidate measured slower. The `limits` test is
-        # the finding constructor's check.
-        for cand, (at_rules, at_callables) in plan:
-            if at_rules:
-                report = _location(cand)
-                spot = bisect_left(rest, report)
-                for k, read in readers:
-                    d_cost = 0.0
-                    for pt, p in read(rest, size, moved, report, spot):
-                        d_cost += p * abs(pt - true_loc)
-                    if d_cost < limits[k]:
-                        findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
-            if at_callables:
-                deviated = deviate(cand)
-                for k, fn in callables:
-                    d_cost = 0.0
-                    for pt, p in fn(deviated).support:
-                        d_cost += p * abs(pt - true_loc)
-                    if d_cost < limits[k]:
-                        findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
+        # Two loops, each over its own ascending list: the readers over the
+        # complete candidates, then the callables over the grid. Each folds
+        # costs as `agent_cost` does, inline, as these are the audit's
+        # innermost loops. The `limits` test is the finding constructor's check.
+        for cand in complete:
+            report = _location(cand)
+            spot = bisect_left(rest, report)
+            for k, read in readers:
+                d_cost = 0.0
+                for pt, p in read(rest, size, moved, report, spot):
+                    d_cost += p * abs(pt - true_loc)
+                if d_cost < limits[k]:
+                    findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
+        for cand in grid:
+            deviated = deviate(cand)
+            for k, fn in callables:
+                d_cost = 0.0
+                for pt, p in fn(deviated).support:
+                    d_cost += p * abs(pt - true_loc)
+                if d_cost < limits[k]:
+                    findings[k].append(unchecked(deviators, true_loc, cand, t_costs[k], d_cost))
         done[key] = [(start, len(found)) for start, found in zip(starts, findings)]
     return findings
 

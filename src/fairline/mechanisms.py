@@ -20,17 +20,21 @@ from .model import FacilityOutcome, GroupedProfile, _left_median, build_profile,
 from .objectives import _KINDS
 
 
-def _three_point(left: float, right: float) -> FacilityOutcome:
-    # Collapses to a single point when the endpoints coincide.
+def _three_point(left: float, right: float) -> tuple:
+    """The support of the rm/nrm lottery on ends `left` <= `right`: a quarter on each end, half on their midpoint.
+
+    Coincident points are merged: equal ends give one point, and a midpoint
+    that rounds onto an end adds its half to that end's quarter.
+    """
     if left == right:
-        return FacilityOutcome.at(left)
+        return ((left, 1.0),)
     mid = (left + right) / 2.0
-    if left < mid < right:  # sorted and distinct, so nothing for `lottery` to merge
-        return FacilityOutcome.three_point(left, mid, right)
     if math.isinf(mid):  # the ends' sum overflowed; the sum of their halves cannot
         mid = left / 2.0 + right / 2.0
-    # The midpoint may round onto an end point, which `lottery` merges.
-    return FacilityOutcome.lottery(((left, 0.25), (right, 0.25), (mid, 0.5)))
+    if left < mid < right:
+        return ((left, 0.25), (mid, 0.5), (right, 0.25))
+    # The midpoint rounded onto an end, which takes its half.
+    return ((left, 0.75), (right, 0.25)) if mid == left else ((left, 0.25), (right, 0.75))
 
 
 def mdm(profile: GroupedProfile) -> FacilityOutcome:
@@ -63,13 +67,13 @@ def mgdm(profile: GroupedProfile) -> FacilityOutcome:
 
 def rm(profile: GroupedProfile) -> FacilityOutcome:
     """Quarter mass on each extreme agent, half on their midpoint."""
-    return _three_point(*profile.span)
+    return FacilityOutcome(_three_point(*profile.span))
 
 
 def nrm(profile: GroupedProfile) -> FacilityOutcome:
     """Same lottery as rm but over the extreme group medians instead of extreme agents."""
     medians = profile.group_medians
-    return _three_point(min(medians), max(medians))
+    return FacilityOutcome(_three_point(min(medians), max(medians)))
 
 
 def median_of_group_medians(profile: GroupedProfile) -> FacilityOutcome:
@@ -160,23 +164,15 @@ def _mgdm_reader(profile: GroupedProfile) -> Callable[..., tuple]:
     return _group_reader(profile, sizes.index(max(sizes)) + 1)
 
 
-def _three_point_support(left: float, right: float) -> tuple:
-    """`_three_point(left, right).support`, with no outcome built for distinct ends whose midpoint lies between."""
-    mid = (left + right) / 2.0
-    if left < mid < right:
-        return ((left, 0.25), (mid, 0.5), (right, 0.25))
-    return _three_point(left, right).support
-
-
 def _rm_reader(profile: GroupedProfile) -> Callable[..., tuple]:
     def read(rest, size, moved, report, spot):
-        return _three_point_support(rest[0] if spot else report, report if spot == len(rest) else rest[-1])
+        return _three_point(rest[0] if spot else report, report if spot == len(rest) else rest[-1])
 
     return read
 
 
 def _nrm_reader(profile: GroupedProfile) -> Callable[..., tuple]:
-    return _medians_reader(profile, lambda medians: _three_point_support(min(medians), max(medians)))
+    return _medians_reader(profile, lambda medians: _three_point(min(medians), max(medians)))
 
 
 def _mogm_reader(profile: GroupedProfile) -> Callable[..., tuple]:
@@ -315,6 +311,7 @@ def parse_mechanism(text: str) -> MechanismId:
     param: int | None = None
     if ":" in body:
         body, _, raw_param = body.partition(":")
+        body = body.strip()
         try:
             param = int(raw_param)
         except ValueError as exc:

@@ -321,19 +321,6 @@ class FacilityOutcome:
         return out
 
     @classmethod
-    def three_point(cls, left: float, mid: float, right: float) -> "FacilityOutcome":
-        """Quarter mass on `left` and `right` and half on `mid`, for finite left < mid < right.
-
-        Such points are distinct and the masses sum to exactly 1, so only the
-        order and finiteness are checked.
-        """
-        if not (left < mid < right and math.isfinite(left) and math.isfinite(right)):
-            raise OutcomeError(f"need finite left < mid < right, got {left!r}, {mid!r}, {right!r}")
-        out = object.__new__(cls)
-        object.__setattr__(out, "support", ((left, 0.25), (mid, 0.5), (right, 0.25)))
-        return out
-
-    @classmethod
     def lottery(cls, pairs: Iterable[tuple[float, float]]) -> "FacilityOutcome":
         """Lottery from (point, probability) pairs, merging coincident points."""
         merged: dict[float, float] = {}

@@ -128,6 +128,10 @@ class TestBoundConformance:
         assert not ok
         assert report.best_ratio > 2.5 + 1e-9
 
+    def test_nan_bound_is_refused(self):
+        with pytest.raises(ValueError, match="bound must not be NaN"):
+            bound_conformance(parse_mechanism("mgdm"), MTGC, math.nan, small_config())
+
 
 class TestPerturb:
     def test_null_jitter_is_skipped_after_the_same_draws(self):

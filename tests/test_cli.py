@@ -320,6 +320,18 @@ class TestSearch:
         )
         assert code == 1
 
+    def test_nan_bound_exits_two(self, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "search", "--mech", "mgdm", "--obj", "mtgc", "--bound", "nan",
+                "--seed", "7", "--restarts", "1", "--iterations", "10", "--report", str(report_path),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bound must not be NaN")
+        assert not report_path.exists()
+
 
 class TestSweep:
     def test_corpus_cross_product(self, capsys):

@@ -218,7 +218,8 @@ def test_audit_findings_match_rebuild(resolution, count):
     assert all(found)  # the mean rule keeps both comparisons from being vacuous
 
 
-def test_plan_is_the_sorted_union_of_both_candidate_lists():
+def test_both_candidate_lists_are_strictly_ascending():
+    # Each mechanism's findings come in the order of its own list.
     rng = random.Random(11)
     for _ in range(300):
         pairs, m = random_pairs(rng, max_n=8)
@@ -228,9 +229,6 @@ def test_plan_is_the_sorted_union_of_both_candidate_lists():
             complete = threshold_candidates(profile, agent)
             for cands in (grid, complete):
                 assert all(a < b for a, b in zip(cands, cands[1:])), (pairs, agent)
-            for g, c in [(grid, complete), (grid, []), ([], complete), ([], [])]:
-                want = [(x, [1] if x not in c else [0] if x not in g else [0, 1]) for x in sorted(set(g) | set(c))]
-                assert audit._plan(g, c, [1], [0], [0, 1]) == want, (pairs, agent)
 
 
 def _views(profile):

@@ -43,6 +43,18 @@ def test_defect_b_audit_findings_are_unchanged_by_scaling():
 
 @pytest.mark.xfail(
     strict=True,
+    reason="ROADMAP item 1, defect (b): absolute audit tolerances; rm gets 2 false findings at scale 1e300",
+)
+def test_defect_b_no_rounding_findings_at_large_scale():
+    # None at scale 1. At 1e300 each finding's gain is about 2e-16 of the
+    # cost, rounding that the absolute VIOLATION_TOL does not absorb.
+    profile = build_profile([(1e300, 1), (1.7e300, 1), (1.2e300, 2)], 2)
+    assert sp_audit(parse_mechanism("rm"), _scaled(profile, 1e-300), 101) == []
+    assert sp_audit(parse_mechanism("rm"), profile, 101) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
     reason="ROADMAP item 1, defect (d): a zero optimum is rounding luck; this one reads 3.552713678800501e-15",
 )
 def test_defect_d_zero_optimum_is_exactly_zero():

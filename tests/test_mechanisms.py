@@ -140,7 +140,7 @@ class TestRandomizedRules:
     def test_three_point_lottery_equals_merged_lottery(self, left, right):
         want = FacilityOutcome.lottery(((left, 0.25), (right, 0.25), ((left + right) / 2.0, 0.5)))
         got = _three_point(left, right)
-        assert [(pt.hex(), p.hex()) for pt, p in got.support] == [(pt.hex(), p.hex()) for pt, p in want.support]
+        assert [(pt.hex(), p.hex()) for pt, p in got] == [(pt.hex(), p.hex()) for pt, p in want.support]
 
     @pytest.mark.parametrize("pairs", [[(1e308, 1), (1.7e308, 2)], [(-1.7e308, 1), (-1e308, 2)]])
     def test_rm_nrm_finite_when_the_ends_sum_overflows(self, pairs):
@@ -161,6 +161,7 @@ class TestMechanismId:
         assert parse_mechanism("MDM").tag == "mdm"
         assert parse_mechanism("median-of-group-medians").tag == "mogm"
         assert parse_mechanism("median_of_group:2") == MechanismId("mog", 2)
+        assert parse_mechanism("kldm :3") == parse_mechanism("kldm: 3") == MechanismId("kldm", 3)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

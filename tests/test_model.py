@@ -172,24 +172,6 @@ class TestOutcome:
         with pytest.raises(OverflowError):
             FacilityOutcome.at(10**400)
 
-    def test_three_point_equals_validated_lottery(self):
-        rng = random.Random(4)
-        for left, right in [(0.0, 1.0), (-0.0, 5e-324 * 4), (-1.7e308, 1.7e308)] + [
-            sorted((rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))) for _ in range(100)
-        ]:
-            mid = (left + right) / 2.0
-            support = ((left, 0.25), (mid, 0.5), (right, 0.25))
-            assert FacilityOutcome.three_point(left, mid, right).support == FacilityOutcome(support).support
-
-    @pytest.mark.parametrize(
-        "points",
-        [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.5, 0.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf),
-         (0.0, math.nan, 1.0)],
-    )
-    def test_three_point_rejects_unsorted_or_nonfinite(self, points):
-        with pytest.raises(OutcomeError):
-            FacilityOutcome.three_point(*points)
-
     def test_lottery_merges_duplicates(self):
         out = FacilityOutcome.lottery([(1.0, 0.25), (1.0, 0.25), (0.0, 0.5)])
         assert out.support == ((0.0, 0.5), (1.0, 0.5))

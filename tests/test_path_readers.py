@@ -41,8 +41,8 @@ def _reports(profile, deviators):
     return [*cands, *profile.locations, 0.0, -0.0]
 
 
-def _assert_readers_match(profile, deviator_sets):
-    rules = _every_rule(profile)
+def _assert_readers_match(profile, deviator_sets, rules=None):
+    rules = _every_rule(profile) if rules is None else rules
     readers = [m.path_reader(profile) for m in rules]
     for deviators in deviator_sets:
         path = profile.deviations(deviators)
@@ -82,6 +82,22 @@ def test_readers_match_apply_at_ties_and_zeros():
     profile = build_profile([(-1, 1), (0, 1), (0, 2), (0, 2), (0.5, 3), (1, 1), (1, 3), (2, 2)], 3)
     sets = [(i,) for i in range(profile.n)] + [s for s in audit._colocated_sets(profile) if len(s) > 1]
     _assert_readers_match(profile, sets)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1.0, 1), (1.0000000000000002, 2)],  # ends one ulp apart: the midpoint rounds onto an end
+        [(1e308, 1), (1.7e308, 2)],  # the ends' sum overflows
+    ],
+)
+def test_lottery_readers_match_apply_at_rounding_and_overflow(pairs):
+    rules = [parse_mechanism("rm"), parse_mechanism("nrm")]
+    for copies in (1, 2):  # two copies of each agent make colocated sets
+        profile = build_profile(pairs * copies, 2)
+        joint = [s for s in audit._colocated_sets(profile) if len(s) > 1]
+        assert len(joint) == (copies > 1) * len(pairs)
+        _assert_readers_match(profile, [(i,) for i in range(profile.n)] + joint, rules)
 
 
 @pytest.mark.parametrize("label", ["kldm:4", "mog:3"])
