@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -141,6 +142,16 @@ class TestRandomizedRules:
         want = FacilityOutcome.lottery(((left, 0.25), (right, 0.25), ((left + right) / 2.0, 0.5)))
         got = _three_point(left, right)
         assert [(pt.hex(), p.hex()) for pt, p in got] == [(pt.hex(), p.hex()) for pt, p in want.support]
+
+    def test_three_point_support_is_a_valid_ascending_lottery(self):
+        # rm and nrm validate it; the ascending order is the builder's own to keep.
+        rng = random.Random(4)
+        for left, right in [(0.0, 1.0), (-0.0, 5e-324 * 4), (-1.7e308, 1.7e308)] + [
+            sorted((rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))) for _ in range(100)
+        ]:
+            support = _three_point(left, right)
+            assert FacilityOutcome(support).support == support
+            assert all(a < b for (a, _), (b, _) in zip(support, support[1:])), (left, right)
 
     @pytest.mark.parametrize("pairs", [[(1e308, 1), (1.7e308, 2)], [(-1.7e308, 1), (-1e308, 2)]])
     def test_rm_nrm_finite_when_the_ends_sum_overflows(self, pairs):

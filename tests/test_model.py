@@ -172,6 +172,15 @@ class TestOutcome:
         with pytest.raises(OverflowError):
             FacilityOutcome.at(10**400)
 
+    @pytest.mark.parametrize(
+        "points",
+        [(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf), (0.0, math.nan, 1.0)],
+    )
+    def test_three_point_support_with_a_repeated_or_nonfinite_point_rejected(self, points):
+        left, mid, right = points
+        with pytest.raises(OutcomeError):
+            FacilityOutcome(((left, 0.25), (mid, 0.5), (right, 0.25)))
+
     def test_lottery_merges_duplicates(self):
         out = FacilityOutcome.lottery([(1.0, 0.25), (1.0, 0.25), (0.0, 0.5)])
         assert out.support == ((0.0, 0.5), (1.0, 0.5))
