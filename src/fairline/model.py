@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable
@@ -140,11 +140,18 @@ class GroupedProfile:
         # entry equal to it, and a deviator comes out at any entry equal to
         # its location.
         groups, rest_locs = self.group_locations, locs
-        pairs = self.raw() if movers else []
         # Per deviator group label: the group's other members and its deviator count.
         moved: dict[int, tuple[tuple[float, ...], int]] = {}
         for k, i in enumerate(movers):
-            x, g = pairs[i]
+            x = locs[i]
+            # Agents at one location are ordered by group label, so the
+            # deviator's rank among them picks its group.
+            rank = i - bisect_left(locs, x)
+            for g, members in enumerate(groups, start=1):
+                here = bisect_right(members, x) - bisect_left(members, x)
+                if rank < here:
+                    break
+                rank -= here
             members, count = moved.get(g, (groups[g - 1], 0))
             spot = bisect_left(members, x)
             moved[g] = (members[:spot] + members[spot + 1 :], count + 1)

@@ -24,12 +24,15 @@ objective's families from the sweep, one column per group with the group's
 value at every kink; `objectives.combine_along` folds the columns over the
 groups into the kink values, and `floors._interval_floors` reads the same
 columns.
-Only an interval that is searched has its two kinks' values gathered into
-rows (`_row`). The kink values stay one list beside the kinks, which the tie
-cut, the least value and the minimizers each read in one pass; only the
-crossings are gathered as (location, value) pairs. The crossings, at O(m^2)
-per interval, are searched only where they could reach the optimum. For the convex mtgc and magc that is next to
-the kinks tied with the best one: a convex function's minimizers form one
+The crossings are scored as the kinks are, once per optimum (`_crossings`):
+one pass finds those of every searched interval from the columns,
+interpolates each column at all of them, and folds the results with one
+`combine_along`. The kink values stay one list beside the kinks, which the
+tie cut, the least value and the minimizers each read in one pass, and the
+crossings are two lists, their locations and their values. The crossings,
+at O(m^2) per interval, are searched only where they could reach the
+optimum. For the convex mtgc and magc that is next to the kinks tied with
+the best one: a convex function's minimizers form one
 interval, which starts past the last kink left of them that lies above the
 tie window. For the others, inside an interval every constituent lies
 between its two endpoint values, so the objective there is at least an
@@ -109,7 +112,6 @@ from .objectives import (
     ObjectiveSpec,
     _assembler,
     assemble_along,
-    combine,
     combine_along,
     eval_outcome,
     eval_outcomes,
@@ -191,39 +193,40 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
     return tuple(_into_span(grid, k, profile.span) if k else grid)
 
 
-def _crossing_candidates(
+def _crossings(
     spec: ObjectiveSpec,
-    a: float,
-    fam_a: tuple[list[float], ...],
-    b: float,
-    fam_b: tuple[list[float], ...],
-) -> list[tuple[float, float]]:
-    """Objective values at interior crossings of constituent lines on [a, b]."""
-    ts: set[float] = set()
-    for va, vb in zip(fam_a, fam_b):
-        for i in range(len(va)):
-            for j in range(i + 1, len(va)):
-                da = va[i] - va[j]
-                db = vb[i] - vb[j]
-                if da == db:
-                    continue
-                t = da / (da - db)
-                if MERGE_TOL < t < 1.0 - MERGE_TOL:
-                    ts.add(t)
-    out = []
-    for t in sorted(ts):
-        y = a + t * (b - a)
-        fams_t = tuple(
-            [va[i] + t * (vb[i] - va[i]) for i in range(len(va))]
-            for va, vb in zip(fam_a, fam_b)
-        )
-        out.append((y, combine(spec, fams_t)))
-    return out
+    pts: Sequence[float],
+    columns: tuple[list[list[float]], ...],
+    searched: Sequence[int],
+) -> tuple[list[float], list[float]]:
+    """The interior crossings of constituent lines on the kink intervals `searched`: their locations and values.
 
-
-def _row(columns: tuple[list[list[float]], ...], k: int) -> tuple[list[float], ...]:
-    """The families at kink `k`, one value per group, as `constituents` gives them at that kink."""
-    return tuple([column[k] for column in family] for family in columns)
+    Interval k runs from kink k to kink k + 1 of `pts`, and `columns` holds
+    the families at every kink, one column per group. Each crossing of two
+    groups' lines in one family is found from the columns, kept once per
+    interval, and listed by interval and then by position within it. The
+    constituents are interpolated at every crossing, column by column, and
+    folded into the values by one `combine_along`, bit for bit `combine`
+    of the interpolated families.
+    """
+    found: set[tuple[int, float]] = set()
+    for family in columns:
+        for i, ci in enumerate(family):
+            for cj in family[i + 1 :]:
+                for k in searched:
+                    da = ci[k] - cj[k]
+                    db = ci[k + 1] - cj[k + 1]
+                    if da == db:
+                        continue
+                    t = da / (da - db)
+                    if MERGE_TOL < t < 1.0 - MERGE_TOL:
+                        found.add((k, t))
+    if not found:
+        return [], []
+    at = sorted(found)
+    ys = [pts[k] + t * (pts[k + 1] - pts[k]) for k, t in at]
+    interpolated = tuple([[c[k] + t * (c[k + 1] - c[k]) for k, t in at] for c in family] for family in columns)
+    return ys, combine_along(spec, interpolated)
 
 
 def _tie_tol(value: float) -> float:
@@ -255,8 +258,9 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     whichever specs share it.
 
     Each optimum evaluates the kinks (kept as per-group columns through
-    `combine_along` and `floors._interval_floors`), then the crossings
-    inside the intervals that can hold the optimum. On a grid of at least _BLOCK blocks
+    `combine_along` and `floors._interval_floors`), then, in one pass over
+    the same columns (`_crossings`), the crossings inside the intervals that
+    can hold the optimum. On a grid of at least _BLOCK blocks
     of _BLOCK kinks, the coarse pass (`_sweep`) sweeps every _BLOCK-th kink
     first, once for all objectives sharing the grid, and then only the
     blocks whose Lipschitz floor reaches some objective's coarse tie window;
@@ -379,17 +383,14 @@ def _select(
         # window can be a minimizer.
         floors = _interval_floors(spec, columns, _slack(profile))
         searched = [k for k, floor in enumerate(floors) if not floor > cut]
-    crossings: list[tuple[float, float]] = []
-    for k in searched:
-        if k not in gaps:
-            crossings += _crossing_candidates(spec, pts[k], _row(columns, k), pts[k + 1], _row(columns, k + 1))
-    vmin = min([best] + [v for _, v in crossings])
+    crossings, crossing_values = _crossings(spec, pts, columns, [k for k in searched if k not in gaps])
+    vmin = min([best] + crossing_values)
     if vmin == math.inf:
         raise UnboundedObjectiveError(f"{spec.label} is +inf at every candidate location")
     tied = vmin + _tie_tol(vmin)
     ys = [y for y, v in zip(pts, values) if v <= tied]
     if crossings:
-        ys += [y for y, v in crossings if v <= tied]
+        ys += [y for y, v in zip(crossings, crossing_values) if v <= tied]
     minimizers = _merge_close(sorted(ys))
     location = minimizers[0]
     return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))

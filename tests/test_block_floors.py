@@ -21,6 +21,7 @@ from fairline import oracle
 from fairline.objectives import _assembler, _stats_at, combine, constituents
 from fairline.floors import _slopes
 from fairline.oracle import breakpoints
+from test_kink_grid import crossing_candidates
 from test_swept_oracle import NEAR_FLOAT_MAX, columns_of, rows
 
 SPECS = MAIN_OBJECTIVES + ALT_OBJECTIVES
@@ -138,7 +139,7 @@ def test_block_floor_bounds_every_kink_and_crossing(monkeypatch):
             for j, floor in enumerate(floors):
                 lo, hi = j * oracle._BLOCK, min((j + 1) * oracle._BLOCK, len(pts) - 1)
                 for k in range(lo, hi):
-                    crossings = oracle._crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1])
+                    crossings = crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1])
                     inside = values[k : k + 2] + [v for _, v in crossings]
                     assert all(floor <= v for v in inside), (spec.label, profile.raw(), j)
                 blocks += 1

@@ -77,6 +77,25 @@ def test_splice_matches_rebuild():
         _assert_same(profile.deviations(indices)(report), _rebuilt(profile, indices, report), context)
 
 
+def test_splice_matches_rebuild_with_many_groups_colocated():
+    # n >= 200 agents on a few dozen locations, each shared by agents of
+    # several groups: a deviator's group comes from its rank among the agents
+    # at its location.
+    rng = random.Random(7)
+    for k in range(20):
+        m = rng.randint(2, 5)
+        spots = [round(rng.uniform(-2.0, 2.0), 2) for _ in range(rng.randint(5, 40))]
+        pairs = [(rng.choice(spots), 1 + i % m) for i in range(rng.randint(200, 400))]
+        profile = build_profile(pairs, m)
+        raw = profile.raw()
+        for i in range(-profile.n, profile.n):
+            assert set(profile.deviations((i,)).moved) == {raw[i][1]}, (k, i)
+        for _ in range(20):
+            indices = tuple(rng.sample(range(profile.n), rng.randint(1, 6)))
+            report = _report(rng, profile)
+            _assert_same(profile.deviations(indices)(report), _rebuilt(profile, indices, report), (k, indices, report))
+
+
 def test_splice_of_a_splice_matches_rebuild():
     rng = random.Random(6)
     for _ in range(500):

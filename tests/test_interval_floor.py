@@ -25,17 +25,16 @@ import pytest
 from fairline import ALT_OBJECTIVES, IIF1, IIF2, MAGC, MAIN_OBJECTIVES, MTGC, build_profile, optima, optimize
 from fairline import oracle
 from fairline.model import _merge_close, scaled_in_range
-from fairline.objectives import combine, eval_point
+from fairline.objectives import assemble_along, combine, combine_along, eval_point
 from fairline.oracle import (
     OptimalResult,
     UnboundedObjectiveError,
-    _crossing_candidates,
     _interval_floors,
     _kinks,
     _tie_tol,
     breakpoints,
 )
-from test_kink_grid import _random_profile
+from test_kink_grid import _random_profile, crossing_candidates
 from test_oracle import scaled_back
 from test_swept_oracle import NEAR_FLOAT_MAX, _profiles, columns_of, rows
 
@@ -58,7 +57,7 @@ def every_interval_optimum(profile, spec) -> OptimalResult:
     fams = rows(columns_of(profile, spec, pts))
     candidates = [(pts[0], combine(spec, fams[0]))]
     for k in range(len(pts) - 1):
-        candidates.extend(_crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
+        candidates.extend(crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]))
         candidates.append((pts[k + 1], combine(spec, fams[k + 1])))
     return _optimum(profile, spec, candidates)
 
@@ -205,20 +204,81 @@ def test_optima_of_a_repeated_objective(monkeypatch):
 
 def test_cut_searches_few_intervals(monkeypatch):
     searched = 0
-    search = oracle._crossing_candidates
+    search = oracle._crossings
 
-    def counting(*args):
+    def counting(spec, pts, columns, intervals):
         nonlocal searched
-        searched += 1
-        return search(*args)
+        searched += len(intervals)
+        return search(spec, pts, columns, intervals)
 
-    monkeypatch.setattr(oracle, "_crossing_candidates", counting)
+    monkeypatch.setattr(oracle, "_crossings", counting)
     for profile in _profiles()[-3:]:  # the Gaussian profiles, n = 127, 130 and 133
         intervals = len(breakpoints(profile)) - 1
         for spec in (IIF1, IIF2):
             searched = 0
             optimize(profile, spec)
             assert searched < 0.1 * intervals, (profile.n, spec.label, searched, intervals)
+
+
+def _reference_crossings(spec, pts, columns, intervals):
+    """`crossing_candidates` on each of the kink intervals `intervals` in turn, as exact float bits."""
+    fams = rows(columns)
+    out = []
+    for k in intervals:
+        out += [(y.hex(), v.hex()) for y, v in crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1])]
+    return out
+
+
+def _large_profile(rng: random.Random):
+    """About 40–140 agents in 1–4 Gaussian clusters, a fifth of them colocated with another agent."""
+    n = rng.randint(40, 120)
+    m = rng.randint(1, 4)
+    centres = [rng.uniform(0.2, 0.8) for _ in range(m)]
+    raw = [(round(rng.gauss(centres[g - 1], 0.2), 3), g) for g in list(range(1, m + 1)) * (n // m)]
+    raw += [(x, rng.randint(1, m)) for x, _ in rng.sample(raw, n // 5)]  # colocated, often across groups
+    return build_profile(raw, m)
+
+
+def test_crossing_pass_matches_the_reference_interval_by_interval(monkeypatch):
+    # Each optimum makes one pass, which yields the reference's crossings on
+    # the intervals it is handed, in the same order and bit for bit; so does a
+    # pass over every interval of the swept kinks, the coarse pass's gaps
+    # included, where two kinks adjacent in the columns are not on the grid.
+    handed = []
+    search = oracle._crossings
+
+    def recorded(spec, pts, columns, intervals):
+        ys, values = search(spec, pts, columns, intervals)
+        handed.append((pts, columns, intervals, [(y.hex(), v.hex()) for y, v in zip(ys, values)]))
+        return ys, values
+
+    monkeypatch.setattr(oracle, "_crossings", recorded)
+    rng = random.Random(3_307)
+    large = [_large_profile(rng) for _ in range(20)]
+    assert all(len(breakpoints(profile)) >= oracle._BLOCK**2 for profile in large)  # big enough for the coarse pass
+    seen = {"groups": set(), "flat": 0, "inf": 0, "gaps": 0}
+    for profile in [_random_profile(rng) for _ in range(DRAWS)] + large:
+        seen["groups"].add(profile.group_count)
+        for spec in SPECS:
+            handed.clear()
+            try:
+                seen["flat"] += len(optimize(profile, spec).minimizers) > 1
+            except UnboundedObjectiveError:
+                pass
+            assert len(handed) == 1, (spec.label, profile.raw())  # one pass per optimum
+            pts, columns, intervals, got = handed[0]
+            assert got == _reference_crossings(spec, pts, columns, intervals), (spec.label, profile.raw())
+            if profile.span[1] > profile.span[0]:
+                pts, stats, gaps = oracle._sweep(profile, _kinks(profile, spec), (spec,))
+                columns = assemble_along(spec, stats)
+                every = range(len(pts) - 1)
+                ys, values = search(spec, pts, columns, every)
+                got = [(y.hex(), v.hex()) for y, v in zip(ys, values)]
+                assert got == _reference_crossings(spec, pts, columns, every), (spec.label, profile.raw())
+                seen["inf"] += math.inf in combine_along(spec, columns)  # alt form "b" over a zero
+                seen["gaps"] += len(gaps)
+    assert seen["groups"] == {1, 2, 3, 4}, seen
+    assert min(seen["flat"], seen["inf"], seen["gaps"]) > 20, seen
 
 
 def test_floor_bounds_every_crossing():
@@ -234,7 +294,7 @@ def test_floor_bounds_every_crossing():
             columns = columns_of(profile, spec, pts)
             fams = rows(columns)
             for k, floor in enumerate(_interval_floors(spec, columns, 0.0)):
-                for y, v in _crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]):
+                for y, v in crossing_candidates(spec, pts[k], fams[k], pts[k + 1], fams[k + 1]):
                     assert floor <= v, (spec.label, profile.raw(), y, v, floor)
 
 

@@ -15,11 +15,40 @@ import pytest
 
 from fairline import ALT_OBJECTIVES, IIF1, IIF2, build_profile, optimize
 from fairline.objectives import combine, constituents, eval_point
-from fairline.model import _merge_close
-from fairline.oracle import UnboundedObjectiveError, _crossing_candidates
+from fairline.model import MERGE_TOL, _merge_close
+from fairline.oracle import UnboundedObjectiveError
 
 NON_CONVEX = (IIF1, IIF2) + ALT_OBJECTIVES
 PROFILES = 10_000
+
+
+def crossing_candidates(spec, a, fam_a, b, fam_b) -> list[tuple[float, float]]:
+    """Objective values at interior crossings of constituent lines on [a, b], ascending.
+
+    A reference for `oracle._crossings` on one interval: `fam_a` and `fam_b`
+    are the families at a and b, one value per group, as `constituents`
+    gives them, and each crossing is scored by `combine`.
+    """
+    ts: set[float] = set()
+    for va, vb in zip(fam_a, fam_b):
+        for i in range(len(va)):
+            for j in range(i + 1, len(va)):
+                da = va[i] - va[j]
+                db = vb[i] - vb[j]
+                if da == db:
+                    continue
+                t = da / (da - db)
+                if MERGE_TOL < t < 1.0 - MERGE_TOL:
+                    ts.add(t)
+    out = []
+    for t in sorted(ts):
+        y = a + t * (b - a)
+        fams_t = tuple(
+            [va[i] + t * (vb[i] - va[i]) for i in range(len(va))]
+            for va, vb in zip(fam_a, fam_b)
+        )
+        out.append((y, combine(spec, fams_t)))
+    return out
 
 
 def all_pairs_optimum(profile, spec) -> tuple[float, float]:
@@ -31,7 +60,7 @@ def all_pairs_optimum(profile, spec) -> tuple[float, float]:
     fams = [constituents(profile, spec, y) for y in grid]
     candidates = [(y, combine(spec, f)) for y, f in zip(grid, fams)]
     for i in range(len(grid) - 1):
-        candidates.extend(_crossing_candidates(spec, grid[i], fams[i], grid[i + 1], fams[i + 1]))
+        candidates.extend(crossing_candidates(spec, grid[i], fams[i], grid[i + 1], fams[i + 1]))
     finite = [(y, v) for y, v in candidates if not math.isinf(v)]
     if not finite:
         raise UnboundedObjectiveError(spec.label)
