@@ -200,17 +200,19 @@ def scaled_in_range(profile: GroupedProfile, y: float = 0.0) -> tuple[GroupedPro
     degree 1 or, for alt form "b"'s ratio, 0, and scaling by a power of two
     is exact in floats away from subnormals, so work done on the scaled
     profile, at y times 2^-k, scaled back by 2^k, is the work done on
-    `profile` without its overflow.
+    `profile` without its overflow. A `y` at an infinity or NaN, which no
+    power of two brings into range, raises OutcomeError, as a support point
+    there does.
     """
     locs = profile.locations
     n = len(locs)
-    # Comparisons rather than a max() call: `eval_point` takes this path at
-    # every point it evaluates.
+    # Comparisons rather than a max() call: `eval_point` and `eval_outcomes`
+    # take this path at every point they evaluate.
     bound = _IN_RANGE / n
     if -bound <= locs[0] and locs[-1] <= bound and -bound <= y <= bound:
         return profile, 0
     if not math.isfinite(y):
-        return profile, 0  # no scaling moves a point at an infinity, or NaN, into range
+        raise OutcomeError(f"support point must be finite, got {y!r}")
     top = max(-locs[0], locs[-1], abs(y))
     k = 1
     while n * math.ldexp(top, -k) > _IN_RANGE:

@@ -369,13 +369,13 @@ def eval_point(profile: GroupedProfile, spec: ObjectiveSpec, y: float) -> float:
 
     Returns +inf only for alt form "b" when some group sits exactly at y while
     another does not; the 0/0 case (every group at y) evaluates to 1. Near
-    the float maximum it is taken on `model.scaled_in_range` of the profile
-    and y, and reads inf only where the value itself exceeds the float
-    maximum.
+    the float maximum it is taken once on `model.scaled_in_range` of the
+    profile and y, and reads inf only where the value itself exceeds the
+    float maximum. A y at an infinity or NaN raises OutcomeError.
     """
     scaled, k = scaled_in_range(profile, y)
     if k:
-        return unscaled(spec, eval_point(scaled, spec, math.ldexp(y, -k)), k)
+        return unscaled(spec, combine(spec, constituents(scaled, spec, math.ldexp(y, -k))), k)
     return combine(spec, constituents(profile, spec, y))
 
 

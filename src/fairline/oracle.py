@@ -73,11 +73,12 @@ it combines them (`ObjectiveSpec._combiner`: iif1's sum, alt's gap, alt's
 ratio with its 0/0 convention) are written once and serve both `eval_point`
 at one point and the column pass at every kink, so the rule's side and the
 optimum's side of every ratio share one copy of each formula, and the value
-an optimum reports is `eval_point` at the minimizer. The tests check it
-against an independent numpy grid search (`tests/grid_oracle.py`), which
-deliberately shares none of it. `ratios_to` scores one rule's outcome on
-several objectives from one statistics pass per support point
-(`objectives.eval_outcomes`), each report bit-identical to `ratio_to`'s.
+an optimum reports is `eval_point`'s in-range body at the minimizer. The
+tests check it against an independent numpy grid search
+(`tests/grid_oracle.py`), which deliberately shares none of it.
+`ratios_to` scores one rule's outcome on several objectives from one
+statistics pass per support point (`objectives.eval_outcomes`), each report
+bit-identical to `ratio_to`'s.
 
 Outside the agent span every objective is nondecreasing moving away, so the
 search is confined to [x_1, x_n]. For the ratio family (alt form "b") each
@@ -90,11 +91,14 @@ not. Every objective is positively homogeneous (alt form "b", a ratio, of
 degree 0), and scaling by a power of two is exact in floats, so `optima`
 works on `model.scaled_in_range` of the profile, where no sum overflows, and
 scales its results back; `breakpoints`, `eval_point` and the rule's side of
-a ratio do the same. That is the one overflow rule: the search itself never
-meets inf - inf, and an optimum whose value exceeds the float maximum raises
-ObjectiveOverflowError. Scaling rounds subnormal coordinates, so the
-scaled-back locations, minimizers and kinks are clamped into [x_1, x_n]
-(`_into_span`), and the search stays confined to the span there too.
+a ratio do the same. That is the one overflow rule, and each public call
+applies it once, at its door: what it calls on the scaled profile (`_kinks`,
+`_grid`, `_sweep`, `_select`) works in range and never scales again. The
+search itself never meets inf - inf, and an optimum whose value exceeds the
+float maximum raises ObjectiveOverflowError. Scaling rounds subnormal
+coordinates, so the scaled-back locations, minimizers and kinks are clamped
+into [x_1, x_n] (`_into_span`), and the search stays confined to the span
+there too.
 """
 
 from __future__ import annotations
@@ -112,10 +116,11 @@ from .objectives import (
     ObjectiveSpec,
     _assembler,
     assemble_along,
+    combine,
     combine_along,
+    constituents,
     eval_outcome,
     eval_outcomes,
-    eval_point,
     stats_along,
     unscaled,
 )
@@ -181,16 +186,21 @@ def breakpoints(profile: GroupedProfile) -> tuple[float, ...]:
     agent span (`_into_span`).
     """
     scaled, k = scaled_in_range(profile)
+    grid = _grid(scaled)
+    return tuple(_into_span(grid, k, profile.span) if k else grid)
+
+
+def _grid(profile: GroupedProfile) -> list[float]:
+    """`breakpoints` of a profile that `scaled_in_range` leaves as it is, as a list."""
     # Sorted runs, which the sort merges: the locations, then each group's
     # consecutive midpoints and its extreme midpoint. `_merge_close` drops
     # the exact repeats.
-    pts = list(scaled.locations)
-    for locs in scaled.group_locations:
+    pts = list(profile.locations)
+    for locs in profile.group_locations:
         pts += [(a + b) / 2.0 for a, b in zip(locs, locs[1:])]
         pts.append((locs[0] + locs[-1]) / 2.0)
     pts.sort()
-    grid = _merge_close(pts)
-    return tuple(_into_span(grid, k, profile.span) if k else grid)
+    return _merge_close(pts)
 
 
 def _crossings(
@@ -273,13 +283,14 @@ def optima(profile: GroupedProfile, specs: Sequence[ObjectiveSpec]) -> tuple[Opt
     every interval whose floor reaches the best kink value's tie window
     (see the module docstring).
     O(n·m^2) at worst for n agents in m groups. It is the leftmost
-    minimizer, with its value re-evaluated by `eval_point`; `minimizers`
-    lists every evaluated candidate tied with the optimum up to rounding
-    noise (`_tie_tol`). Near the float maximum it works on
-    `scaled_in_range` of the profile and scales every result back (see the
-    module docstring). Raises the first error any objective raises:
-    UnboundedObjectiveError when every candidate is +inf, and
-    ObjectiveOverflowError when the optimum value exceeds the float maximum.
+    minimizer, with its value re-evaluated by `eval_point`'s in-range body;
+    `minimizers` lists every evaluated candidate tied with the optimum up
+    to rounding noise (`_tie_tol`). Near the float maximum it works on
+    `scaled_in_range` of the profile, called once for every objective, and
+    scales every result back (see the module docstring). Raises the first
+    error any objective raises: UnboundedObjectiveError when every
+    candidate is +inf, and ObjectiveOverflowError when the optimum value
+    exceeds the float maximum.
     """
     scaled, k = scaled_in_range(profile)
     sweeps: dict[bool, tuple[Sequence[float], GroupStats, Container[int]]] = {}
@@ -341,12 +352,15 @@ def _sweep(
 
 
 def _kinks(profile: GroupedProfile, spec: ObjectiveSpec) -> Sequence[float]:
-    """The points whose values `_select` needs: the agent locations for mtgc and magc, else `breakpoints`."""
+    """The points whose values `_select` needs: the agent locations for mtgc and magc, else `breakpoints`.
+
+    `profile` is in range, so the grid is `_grid`'s, with no second scaling.
+    """
     if spec.kind in _CONVEX:
         # Convex objectives kink only at agent locations, which are ascending
         # and whose repeats are identical floats, so merging drops them.
         return _merge_close(profile.locations)
-    return breakpoints(profile)
+    return _grid(profile)
 
 
 def _select(
@@ -362,7 +376,9 @@ def _select(
     k and k + 1 for k in `gaps`, which are not adjacent on the grid, and a
     stretch of tied kinks ends there. `profile` lies in the float range
     (`scaled_in_range` leaves it as it is), so no candidate reads NaN, and
-    only alt form "b"'s positive statistic over 0 reads +inf.
+    only alt form "b"'s positive statistic over 0 reads +inf. The
+    minimizer's value is `combine` of its `constituents`, `eval_point`'s
+    in-range body, with no second scaling.
     """
     values = combine_along(spec, columns)
     best = min(values)
@@ -393,7 +409,7 @@ def _select(
         ys += [y for y, v in zip(crossings, crossing_values) if v <= tied]
     minimizers = _merge_close(sorted(ys))
     location = minimizers[0]
-    return OptimalResult(location, eval_point(profile, spec, location), tuple(minimizers))
+    return OptimalResult(location, combine(spec, constituents(profile, spec, location)), tuple(minimizers))
 
 
 def _scaled_back(spec: ObjectiveSpec, result: OptimalResult, k: int, span: tuple[float, float]) -> OptimalResult:

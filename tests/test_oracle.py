@@ -22,6 +22,7 @@ from fairline import (
     MAGC,
     MTGC,
     ObjectiveOverflowError,
+    OutcomeError,
     alt,
     breakpoints,
     build_profile,
@@ -30,6 +31,7 @@ from fairline import (
     parse_mechanism,
     ratio,
 )
+from fairline import objectives, oracle
 from fairline.model import scaled_in_range
 from fairline.oracle import UnboundedObjectiveError, ratio_to, ratios_to
 from fairline.families import (
@@ -186,14 +188,48 @@ class TestOverflow:
         assert k == 1 and scaled.raw() == [(-5e306, 1), (2.5, 2)]
 
     def test_points_at_an_infinity_or_nan_are_not_scaled(self):
-        # No power of two brings such a point into range; it reads what it
-        # reads on the profile itself.
+        # No power of two brings such a point into range. Every objective
+        # refuses it, as `FacilityOutcome` refuses such a support point.
         for raw in ([(0.0, 1), (1.0, 2)], [(-1.7e308, 1), (1.7e308, 2)]):
             profile = build_profile(raw, 2)
             for y in (math.inf, -math.inf, math.nan):
-                assert scaled_in_range(profile, y) == (profile, 0)
-            assert eval_point(profile, MTGC, math.inf) == math.inf
-            assert math.isnan(eval_point(profile, MTGC, math.nan))
+                with pytest.raises(OutcomeError, match="support point must be finite"):
+                    scaled_in_range(profile, y)
+                for spec in MAIN_OBJECTIVES + ALT_OBJECTIVES:
+                    with pytest.raises(OutcomeError, match="support point must be finite"):
+                        eval_point(profile, spec, y)
+
+    def test_each_public_call_scales_once(self, monkeypatch):
+        # Each public evaluator calls `scaled_in_range` at its door, and
+        # nothing it runs on the scaled profile calls it again. `ratio` is
+        # `optimize`, then `ratio_to`, which scores the rule's support once
+        # per point: mgdm's one point, rm's three.
+        calls = []
+
+        def counted(profile, y=0.0):
+            calls.append(y)
+            return scaled_in_range(profile, y)
+
+        monkeypatch.setattr(objectives, "scaled_in_range", counted)
+        monkeypatch.setattr(oracle, "scaled_in_range", counted)
+        mgdm, rm = parse_mechanism("mgdm"), parse_mechanism("rm")
+        cases = (
+            (lambda p: optimize(p, IIF1), 1),
+            (lambda p: oracle.optima(p, (MTGC, IIF2, alt("b", "max"))), 1),
+            (lambda p: breakpoints(p), 1),
+            (lambda p: eval_point(p, IIF1, 0.5), 1),
+            (lambda p: eval_point(p, IIF1, 1e308), 1),
+            (lambda p: ratio(p, mgdm, MTGC), 3),
+            (lambda p: ratio(p, rm, MTGC), 5),
+        )
+        for raw, k in (([(0.0, 1), (1.0, 2), (3.0, 2)], 0), ([(1e308, 1), (1.2e308, 2), (1.5e308, 2)], 6)):
+            profile = build_profile(raw, 2)
+            assert scaled_in_range(profile)[1] == k
+            assert len(rm.apply(profile).support) == 3
+            for call, doors in cases:
+                calls.clear()
+                call(profile)
+                assert len(calls) == doors, (raw, calls)
 
     def test_optimum_past_the_float_maximum_raises_a_named_error(self):
         profile = build_profile(self.FOUND, 2)
